@@ -20,9 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from repro.bench.harness import (
+    Clock,
     compare_reports,
     comparison_lines,
     comparison_markdown,
@@ -135,9 +137,12 @@ def promote_baseline(doc: dict, baseline_path: Path) -> dict:
     return baseline_doc
 
 
-def main(argv=None) -> int:
+def main(argv=None, clock: Clock = time.perf_counter) -> int:
+    """CLI entry point; ``clock`` times every benchmark repeat."""
     args = build_parser().parse_args(argv)
-    report = run_benchmarks(quick=args.quick, only=args.only, repeats=args.repeats)
+    report = run_benchmarks(
+        quick=args.quick, only=args.only, repeats=args.repeats, clock=clock
+    )
 
     doc = report.to_dict()
     exit_code = 0

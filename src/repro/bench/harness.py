@@ -93,6 +93,9 @@ class BenchReport:
 
 
 Benchmark = Tuple[str, str, Callable[[], Tuple[int, Dict[str, object]]]]
+#: a monotonic seconds counter; ``time.perf_counter`` unless a caller
+#: injects a fake one so an outcome cannot depend on wall-clock noise
+Clock = Callable[[], float]
 
 
 def measure(
@@ -100,6 +103,7 @@ def measure(
     kind: str,
     fn: Callable[[], Tuple[int, Dict[str, object]]],
     repeats: int = 1,
+    clock: Clock = time.perf_counter,
 ) -> BenchRecord:
     """Run one benchmark callable under timing + RSS instrumentation.
 
@@ -109,16 +113,16 @@ def measure(
     noise and the minimum is the least-contaminated estimate of the
     code's cost.  The ``extra`` fields come from the fastest repeat too,
     so timing-derived extras (``sharded_wall_seconds``, idle waits) stay
-    consistent with the reported wall time.
+    consistent with the reported wall time.  ``clock`` times each repeat.
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     wall = float("inf")
     best_extra: Dict[str, object] = {}
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = clock()
         work_units, run_extra = fn()
-        elapsed = time.perf_counter() - start
+        elapsed = clock() - start
         if elapsed < wall:
             wall = elapsed
             best_extra = run_extra
@@ -144,6 +148,7 @@ def default_suite(quick: bool) -> List[Benchmark]:
         ("flit_link_throughput", "micro", lambda: micro.bench_flit_link(quick)),
         ("packet_link_throughput", "micro", lambda: micro.bench_packet_link(quick)),
         ("cluster_queue_stitch_scan", "micro", lambda: micro.bench_stitch_scan(quick)),
+        ("egress_pipeline", "micro", lambda: micro.bench_egress_pipeline(quick)),
         ("smoke_sweep", "e2e", lambda: smoke.bench_smoke_sweep(quick)),
         ("sharded_speedup", "e2e", lambda: smoke.bench_sharded_speedup(quick)),
     ]
@@ -153,6 +158,7 @@ def run_benchmarks(
     quick: bool = False,
     only: Optional[Sequence[str]] = None,
     repeats: int = 3,
+    clock: Clock = time.perf_counter,
 ) -> BenchReport:
     """Run the suite (optionally a named subset) and assemble the report."""
     suite = default_suite(quick)
@@ -165,7 +171,10 @@ def run_benchmarks(
                 f"unknown benchmark(s): {sorted(unknown)}; known: {sorted(known)}"
             )
         suite = [bench for bench in suite if bench[0] in wanted]
-    records = [measure(name, kind, fn, repeats=repeats) for name, kind, fn in suite]
+    records = [
+        measure(name, kind, fn, repeats=repeats, clock=clock)
+        for name, kind, fn in suite
+    ]
     return BenchReport(records=records, quick=quick)
 
 

@@ -1,4 +1,4 @@
-"""Microbenchmarks isolating the simulator's three inner loops.
+"""Microbenchmarks isolating the simulator's inner loops.
 
 Each function returns ``(work_units, extra)`` for the harness.  All
 inputs are deterministic: the same interpreter sees the same event
@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.cluster_queue import ClusterQueue
+from repro.core.config import NetCrafterConfig
+from repro.core.controller import NetCrafterController
 from repro.core.stitching import StitchEngine
 from repro.network.flit import segment_packet
 from repro.network.link import FlitLink, PacketLink
@@ -22,6 +24,10 @@ _DISPATCH_EVENTS = (400_000, 80_000)
 _LINK_FLITS = (200_000, 40_000)
 _LINK_PACKETS = (100_000, 20_000)
 _STITCH_SCANS = (100_000, 20_000)
+_EGRESS_PACKETS = (40_000, 8_000)
+#: packets per feeder burst, and the idle cycles between bursts
+_EGRESS_BURST = 128
+_EGRESS_BURST_GAP = 120
 
 
 def _sized(pair: Tuple[int, int], quick: bool) -> int:
@@ -181,3 +187,86 @@ def bench_stitch_scan(quick: bool = False) -> Tuple[int, Dict[str, object]]:
             found += 1
     assert found == 0, "scan benchmark must not find (or absorb) candidates"
     return scans, {"staged_flits": len(queue)}
+
+
+class _EgressFeeder:
+    """Offers a controller bursts of packets from a fixed mix."""
+
+    __slots__ = ("engine", "controller", "packets", "index")
+
+    def __init__(
+        self, engine: Engine, controller: NetCrafterController, packets: list
+    ) -> None:
+        self.engine = engine
+        self.controller = controller
+        self.packets = packets
+        self.index = 0
+
+    def tick(self) -> None:
+        index = self.index
+        self.controller.accept_packet(self.packets[index])
+        self.index = index + 1
+        if self.index < len(self.packets):
+            # bursts of one packet per cycle, then a pause: the queue
+            # fills past the link's drain rate, then runs down sparse
+            # enough that unstitchable parents get pooled
+            gap = _EGRESS_BURST_GAP if self.index % _EGRESS_BURST == 0 else 1
+            self.engine.schedule(gap, self.tick)
+
+
+def bench_egress_pipeline(quick: bool = False) -> Tuple[int, Dict[str, object]]:
+    """The NetCrafter egress pipeline: accept -> pump -> stitch -> eject.
+
+    A full-config controller (trimming, stitching, selective pooling,
+    PTW sequencing) drives a 16 B/cycle inter-cluster link while a feeder
+    offers a request/response/page-walk mix in bursts faster than the
+    link drains, so the 64-entry Cluster Queue fills: stitch searches
+    see full windows, absorbed candidates are removed from the queue,
+    admission overflows into the pending list, and between bursts the
+    thinned queue leaves unstitchable parents to be pooled.
+    The work unit is flits through the pipeline (sent or absorbed).
+    """
+    total = _sized(_EGRESS_PACKETS, quick)
+    engine = Engine()
+    delivered = 0
+
+    def sink(_flit) -> None:
+        nonlocal delivered
+        delivered += 1
+
+    link = FlitLink(engine, "bench.egress", bytes_per_cycle=16.0, latency=8, sink=sink)
+    controller = NetCrafterController(
+        engine,
+        "bench.ctrl",
+        link,
+        flit_size=16,
+        config=NetCrafterConfig.full(),
+        queue_capacity=64,
+    )
+    mix = (
+        (PacketType.READ_REQ, {}),
+        (PacketType.READ_RSP, {}),
+        (PacketType.WRITE_RSP, {}),
+        (PacketType.READ_RSP, {"bytes_needed": 8, "trim_allowed": True}),
+        (PacketType.PT_REQ, {}),
+        (PacketType.READ_REQ, {}),
+        (PacketType.WRITE_REQ, {}),
+        (PacketType.PT_RSP, {}),
+        (PacketType.READ_REQ, {}),
+        (PacketType.WRITE_RSP, {}),
+    )
+    packets = [
+        Packet(ptype=ptype, src_gpu=0, dst_gpu=2, **kwargs)
+        for ptype, kwargs in (mix[i % len(mix)] for i in range(total))
+    ]
+    feeder = _EgressFeeder(engine, controller, packets)
+    engine.schedule(0, feeder.tick)
+    engine.run()
+    stats = controller.stats
+    assert stats.packets_accepted == total, "feeder stopped early"
+    assert delivered == stats.flits_sent, "egress left flits on the wire"
+    assert stats.flits_entered == stats.flits_sent + stats.flits_absorbed
+    return stats.flits_entered, {
+        "flits_absorbed": stats.flits_absorbed,
+        "flits_pooled": controller.pooling.flits_pooled,
+    }

@@ -15,7 +15,7 @@ import socket
 import time
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.campaign.journal import CampaignJournal, default_journal_dir
+from repro.campaign.journal import default_journal_dir, read_endpoint
 
 
 class CampaignClientError(RuntimeError):
@@ -24,11 +24,11 @@ class CampaignClientError(RuntimeError):
 
 def discover_endpoint(journal_dir: Optional[str] = None) -> Tuple[str, int]:
     """The serving endpoint published in ``<journal_dir>/server.json``."""
-    journal = CampaignJournal(journal_dir or default_journal_dir())
-    endpoint = journal.read_endpoint()
+    root = journal_dir or default_journal_dir()
+    endpoint = read_endpoint(root)
     if endpoint is None:
         raise CampaignClientError(
-            f"no campaign server endpoint under {journal.root} "
+            f"no campaign server endpoint under {root} "
             "(is `python -m repro.campaign serve` running?)"
         )
     return str(endpoint["host"]), int(endpoint["port"])

@@ -43,6 +43,23 @@ def default_journal_dir() -> str:
     return os.environ.get("REPRO_CAMPAIGN_DIR", ".repro_campaigns")
 
 
+#: endpoint file name under the journal root
+ENDPOINT_FILE = "server.json"
+
+
+def read_endpoint(root: Union[str, Path]) -> Optional[Dict[str, object]]:
+    """The endpoint published under journal ``root``, or ``None``.
+
+    A pure read: unlike opening a :class:`CampaignJournal` it never
+    sweeps temp files, so a client polling while the server publishes
+    cannot delete the server's in-flight ``server.json`` write.
+    """
+    try:
+        return json.loads((Path(root) / ENDPOINT_FILE).read_text())
+    except (OSError, ValueError):
+        return None
+
+
 class CampaignJournal:
     """One-record-per-campaign durable store plus the endpoint file."""
 
@@ -97,7 +114,7 @@ class CampaignJournal:
 
     @property
     def endpoint_path(self) -> Path:
-        return self.root / "server.json"
+        return self.root / ENDPOINT_FILE
 
     def publish_endpoint(self, host: str, port: int) -> None:
         import os
@@ -115,10 +132,7 @@ class CampaignJournal:
         )
 
     def read_endpoint(self) -> Optional[Dict[str, object]]:
-        try:
-            return json.loads(self.endpoint_path.read_text())
-        except (OSError, ValueError):
-            return None
+        return read_endpoint(self.root)
 
     def clear_endpoint(self) -> None:
         try:

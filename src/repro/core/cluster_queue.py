@@ -151,6 +151,37 @@ class ClusterQueue:
         self.total_accepted += 1
         return True
 
+    def push_packet(self, flits: List[Flit], priority_data: bool = False) -> str:
+        """Stage every flit of one packet at once; returns their partition key.
+
+        All flits of a packet share its type, PTW flag and priority tag,
+        hence one partition, so a single key lookup and one run of
+        ``cq_seq`` values assign exactly what ``len(flits)`` successive
+        :meth:`push` calls would.  Admission is all-or-nothing (the
+        controller only admits whole packets): a packet that does not fit
+        raises :class:`CapacityError` instead of being partially staged.
+        """
+        n = len(flits)
+        if self.capacity - self._count - self._reserved < n:
+            raise CapacityError(
+                f"push_packet of {n} flits exceeds capacity "
+                f"({self._count} staged + {self._reserved} reserved "
+                f"of {self.capacity})"
+            )
+        key = self.partition_key(flits[0], priority_data)
+        part = self._partitions.get(key)
+        if part is None:
+            part = self._partition(key)
+        seq = self._next_seq
+        for flit in flits:
+            flit.cq_seq = seq
+            seq += 1
+        self._next_seq = seq
+        part.flits.extend(flits)
+        self._count += n
+        self.total_accepted += n
+        return key
+
     def push_front(self, flit: Flit, key: str, reserved: bool = False) -> None:
         """Return a flit to the head of its partition.
 
@@ -198,8 +229,13 @@ class ClusterQueue:
             raise RuntimeError("release_reservation without a reservation")
         self._reserved -= 1
 
-    def remove_flit(self, flit: Flit) -> bool:
-        """Remove a specific staged flit (when it gets stitched away).
+    def remove_at(self, part: QueuePartition, index: int) -> Flit:
+        """Remove and return the flit at ``index`` of ``part``.
+
+        This is how a stitched-away candidate leaves the queue: the stitch
+        search reports the partition and position it found the candidate
+        at, always within the first ``search_depth`` entries, so removal
+        costs O(``search_depth``) however many flits are staged.
 
         A pooled flit at the head of its partition owns that partition's
         pooling timer.  If the stitch search absorbs it into another
@@ -207,18 +243,30 @@ class ClusterQueue:
         flit, which was never pooled, sits blocked until the dead timer
         expires.
         """
+        flits = part.flits
+        self._count -= 1
+        if index:
+            flit = flits[index]
+            del flits[index]
+            return flit
+        flit = flits.popleft()
+        if flit.pooled and part.blocked_until:
+            part.blocked_until = 0
+            part.pooled_at = 0
+            self.stale_timers_cleared += 1
+        return flit
+
+    def remove_flit(self, flit: Flit) -> bool:
+        """Remove a specific staged flit wherever it sits (see :meth:`remove_at`).
+
+        Scans every partition by identity; the stitch path avoids the
+        scan by removing at the position its search already found.
+        """
         for part in self._partitions.values():
-            was_head = bool(part.flits) and part.flits[0] is flit
-            try:
-                part.flits.remove(flit)
-            except ValueError:
-                continue
-            self._count -= 1
-            if was_head and flit.pooled and part.blocked_until:
-                part.blocked_until = 0
-                part.pooled_at = 0
-                self.stale_timers_cleared += 1
-            return True
+            for index, staged in enumerate(part.flits):
+                if staged is flit:
+                    self.remove_at(part, index)
+                    return True
         return False
 
     # -- scheduling ---------------------------------------------------------

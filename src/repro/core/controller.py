@@ -50,15 +50,26 @@ class EgressStats:
         #: reproduces Figure 6's padded-fraction distribution
         self.occupancy = Counter()
 
-    def record_entry(self, flit: Flit) -> None:
-        self.flits_entered += 1
-        self.occupancy[flit.used_bytes] += 1
-        useful = flit.used_bytes
-        if flit.is_ptw:
-            self.ptw_flits += 1
+    def record_packet(self, flits: List[Flit]) -> None:
+        """Account one admitted packet's flits in a single update.
+
+        A packet's flits share its PTW flag, so the type split is one
+        branch; the occupancy histogram still gets one entry per flit, in
+        flit order.
+        """
+        n = len(flits)
+        self.flits_entered += n
+        occupancy = self.occupancy
+        useful = 0
+        for flit in flits:
+            used = flit.used_bytes
+            occupancy[used] += 1
+            useful += used
+        if flits[0].is_ptw:
+            self.ptw_flits += n
             self.ptw_bytes += useful
         else:
-            self.data_flits += 1
+            self.data_flits += n
             self.data_bytes += useful
 
     def padded_fraction_distribution(self, flit_size: int) -> Counter:
@@ -114,6 +125,16 @@ class NetCrafterController(Traced, Component):
         self.sequencer = SequencingPolicy(
             config.effective_priority, config.data_priority_fraction, seed=seed
         )
+        #: the Sequencing partition served with strict preference; the
+        #: mode is fixed for the controller's lifetime
+        self._preferred = self.sequencer.preferred_partition
+        #: arrival-triggered release of pooled heads (see
+        #: :meth:`_maybe_release_pooled`) needs both stitching and pooling
+        self._early_release = (
+            self.stitch_engine is not None
+            and self.pooling is not None
+            and config.early_release
+        )
         self.stats = EgressStats()
         #: packets waiting for Cluster Queue space, admitted FIFO
         self._pending: Deque[Tuple[List[Flit], bool]] = deque()
@@ -121,11 +142,17 @@ class NetCrafterController(Traced, Component):
         self._pump_generation = 0
 
     # -- packet ingress -----------------------------------------------------
+    #
+    # The egress path below is the simulator's costliest code per event,
+    # so the pump/eject/admit steps are written flat: the reserve/release
+    # and scheduling helpers are inlined at their hot call sites.  Every
+    # event keeps its exact (time, skey, seq) key — see DESIGN.md §4.
 
     def accept_packet(self, packet: Packet) -> None:
         """Receive a packet routed toward this controller's link."""
-        self.stats.packets_accepted += 1
-        self.stats.packets_by_type[packet.ptype] += 1
+        stats = self.stats
+        stats.packets_accepted += 1
+        stats.packets_by_type[packet.ptype] += 1
         if self.trim_engine is not None:
             trimmed = self.trim_engine.maybe_trim(packet)
             if trimmed and self._trace_on:
@@ -140,26 +167,32 @@ class NetCrafterController(Traced, Component):
         priority_data = self.sequencer.tag_priority_data(packet)
         self._pending.append((flits, priority_data))
         self._admit_pending()
-        self._maybe_release_pooled()
-        self._request_pump(self.engine._now)
+        if self._early_release:
+            self._maybe_release_pooled()
+        # _request_pump(now), inlined
+        now = self.engine._now
+        next_pump = self._next_pump
+        if next_pump is None or next_pump > now:
+            self._next_pump = now
+            generation = self._pump_generation + 1
+            self._pump_generation = generation
+            self.engine.schedule_at(now, self._pump_event, generation)
 
     def _admit_pending(self) -> None:
         """Move whole packets from the overflow list into the CQ."""
-        while self._pending:
-            flits, priority_data = self._pending[0]
-            if self.queue.free_entries < len(flits):
+        pending = self._pending
+        queue = self.queue
+        while pending:
+            flits, priority_data = pending[0]
+            if queue.capacity - queue._count - queue._reserved < len(flits):
                 return
-            self._pending.popleft()
-            for flit in flits:
-                self.stats.record_entry(flit)
-                self.queue.push(flit, priority_data)
-                if self._trace_on:
+            pending.popleft()
+            key = queue.push_packet(flits, priority_data)
+            self.stats.record_packet(flits)
+            if self._trace_on:
+                for flit in flits:
                     self._tracer.flit_event(
-                        self.now,
-                        "stage",
-                        flit,
-                        lane=self.name,
-                        part=self.queue.partition_key(flit, priority_data),
+                        self.now, "stage", flit, lane=self.name, part=key
                     )
 
     def _maybe_release_pooled(self) -> None:
@@ -170,17 +203,14 @@ class NetCrafterController(Traced, Component):
         early: the pooled flit already got what it was waiting for, and
         holding the partition longer would only idle the link.
         """
-        if self.stitch_engine is None or self.pooling is None:
-            return
-        if not self.config.early_release:
-            return
         now = self.engine._now
-        for partition in self.queue.blocked_partitions(now):
-            head = partition.flits[0]
-            if not head.pooled:
-                continue
-            if self.stitch_engine.find_candidate(head, self.queue) is not None:
-                partition.blocked_until = now
+        queue = self.queue
+        best_fit = self.stitch_engine._best_fit
+        for partition in queue._partitions.values():
+            if partition.flits and now < partition.blocked_until:
+                head = partition.flits[0]
+                if head.pooled and best_fit(head, queue) is not None:
+                    partition.blocked_until = now
 
     # -- pump scheduling ------------------------------------------------------
 
@@ -196,53 +226,68 @@ class NetCrafterController(Traced, Component):
         self._pump_generation += 1
         self.engine.schedule_at(at, self._pump_event, self._pump_generation)
 
+    # -- egress pipeline ------------------------------------------------------
+
     def _pump_event(self, generation: int) -> None:
+        """Pump the link: select a parent flit, stitch into it, then pool
+        it (and select again) or eject it onto the link."""
         if generation != self._pump_generation:
             return  # superseded by an earlier request
         self._next_pump = None
-        self._pump()
-
-    # -- egress pipeline ------------------------------------------------------
-
-    def _pump(self) -> None:
         link = self.link
         if not link.is_ready():
             self._request_pump(link.ready_at())
             return
         now = self.engine._now
         queue = self.queue
-        preferred = self.sequencer.preferred_partition
+        preferred = self._preferred
         while True:
-            partition, earliest_unblock = queue.select_partition(
-                now, prefer=preferred
-            )
+            # queue.select_partition(now, prefer=preferred), inlined
+            partition = None
+            if preferred is not None:
+                partition = queue._partitions.get(preferred)
+                if partition is not None and not partition.flits:
+                    partition = None
             if partition is None:
-                if earliest_unblock is None:
+                if not queue._count:
                     return
-                # Work-conserving override: every staged flit sits behind a
-                # pooling timer, so serving one (unstitched) beats idling
-                # the link.  A short grace window still lets candidates
-                # that are already in flight arrive and stitch.  Pooling
-                # therefore only ever *reorders* service toward flits with
-                # stitching prospects; it never starves the egress — see
-                # DESIGN.md §7 for the deviation note.
-                grace = self.config.pooling_grace
-                override_at, partition = None, None
-                for part in queue.blocked_partitions(now):
-                    at = min(part.blocked_until, part.pooled_at + grace)
-                    if override_at is None or at < override_at:
-                        override_at, partition = at, part
-                if now < override_at:
-                    self._request_pump(override_at)
-                    return
-                partition.blocked_until = now
-            # pop while holding the SRAM entry: if pooling returns the
-            # parent via push_front, no intervening admission may have
-            # stolen its slot (the un-reserved round-trip used to drive
-            # _count above capacity)
-            parent = queue.pop_reserved(partition)
+                if queue._age_scheduler:
+                    partition, earliest_unblock = queue._select_oldest(now)
+                else:
+                    partition, earliest_unblock = queue._select_round_robin(now)
+                if partition is None:
+                    if earliest_unblock is None:
+                        return
+                    # Work-conserving override: every staged flit sits
+                    # behind a pooling timer, so serving one (unstitched)
+                    # beats idling the link.  A short grace window still
+                    # lets candidates that are already in flight arrive and
+                    # stitch.  Pooling therefore only ever *reorders*
+                    # service toward flits with stitching prospects; it
+                    # never starves the egress — see DESIGN.md §7 for the
+                    # deviation note.
+                    grace = self.config.pooling_grace
+                    override_at, partition = None, None
+                    for part in queue.blocked_partitions(now):
+                        at = min(part.blocked_until, part.pooled_at + grace)
+                        if override_at is None or at < override_at:
+                            override_at, partition = at, part
+                    if now < override_at:
+                        self._request_pump(override_at)
+                        return
+                    partition.blocked_until = now
+            # queue.pop_reserved(partition), inlined: pop while holding the
+            # SRAM entry, so that if pooling returns the parent via
+            # push_front no intervening admission can have stolen its slot
+            # (the un-reserved round-trip used to drive _count above
+            # capacity)
+            parent = partition.flits.popleft()
+            queue._count -= 1
+            queue._reserved += 1
             absorbed = 0
-            if self.stitch_engine is not None:
+            if self.stitch_engine is not None and parent.empty_bytes > 0:
+                # (a parent without padding can absorb nothing: skip the
+                # search, which would return at once)
                 timers_before = queue.stale_timers_cleared
                 segments_before = len(parent.segments)
                 absorbed = self.stitch_engine.stitch_all(parent, queue)
@@ -263,14 +308,15 @@ class NetCrafterController(Traced, Component):
                     # the wire frees up so the (never-pooled) successor flit
                     # is not held hostage by the dead timer
                     self._request_pump(link.ready_at())
+            pooling = self.pooling
             if (
                 absorbed == 0
-                and self.pooling is not None
+                and pooling is not None
                 and partition.key != PTW_PARTITION
-                and self.pooling.should_pool(parent)
+                and pooling.should_pool(parent)
             ):
                 # no candidate: defer this partition and try another now
-                partition.blocked_until = self.pooling.pool(parent, now)
+                partition.blocked_until = pooling.pool(parent, now)
                 partition.pooled_at = now
                 queue.push_front(parent, partition.key, reserved=True)
                 if self._trace_on:
@@ -284,31 +330,39 @@ class NetCrafterController(Traced, Component):
                     )
                 self._request_pump(partition.blocked_until)
                 continue
-            self._eject(parent, absorbed)
-            return
-
-    def _eject(self, parent: Flit, absorbed: int) -> None:
-        # the parent leaves for good: its reserved SRAM entry opens up
-        self.queue.release_reservation()
-        if self.pooling is not None:
-            self.pooling.record_outcome(parent, absorbed > 0)
+            break
+        # eject: the parent leaves for good and its reserved SRAM entry
+        # opens up (queue.release_reservation, inlined)
+        queue._reserved -= 1
+        if pooling is not None and parent.pooled:
+            pooling.record_outcome(parent, absorbed > 0)
+        stats = self.stats
         if absorbed:
-            self.stats.parents_stitched += 1
-            self.stats.flits_absorbed += absorbed
-        self.stats.flits_sent += 1
+            stats.parents_stitched += 1
+            stats.flits_absorbed += absorbed
+        stats.flits_sent += 1
         if self._trace_on:
             self._tracer.flit_event(
-                self.now,
+                now,
                 "eject",
                 parent,
                 lane=self.name,
                 absorbed=absorbed,
                 pooled=parent.pooled,
             )
-        self.link.send(parent)
-        self._admit_pending()
-        if not self.queue.is_empty() or self._pending:
-            self._request_pump(self.link.ready_at())
+        link.send(parent)
+        pending = self._pending
+        if pending:
+            self._admit_pending()
+        if queue._count or pending:
+            # _request_pump(link.ready_at()), inlined; ready_at() >= now
+            at = link.ready_at()
+            next_pump = self._next_pump
+            if next_pump is None or next_pump > at:
+                self._next_pump = at
+                generation = self._pump_generation + 1
+                self._pump_generation = generation
+                self.engine.schedule_at(at, self._pump_event, generation)
 
     # -- introspection ---------------------------------------------------------
 

@@ -14,9 +14,9 @@ at the receiving cluster switch.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.cluster_queue import ClusterQueue
+from repro.core.cluster_queue import ClusterQueue, QueuePartition
 from repro.network.flit import Flit
 
 
@@ -34,6 +34,14 @@ class StitchEngine:
 
         Best-fit = the candidate with the largest stitch cost that still
         fits, which maximizes padding reclaimed per search.
+        """
+        hit = self._best_fit(parent, queue)
+        return hit[0] if hit is not None else None
+
+    def _best_fit(
+        self, parent: Flit, queue: ClusterQueue
+    ) -> Optional[Tuple[Flit, QueuePartition, int]]:
+        """Best-fit candidate with the partition and index it sits at.
 
         This is the hottest scan in the simulator (every ejected flit
         probes up to ``search_depth`` entries of every partition), so the
@@ -41,13 +49,14 @@ class StitchEngine:
         :meth:`ClusterQueue.stitch_candidates`, and the ``can_absorb``
         conditions are folded into the cost comparison — a candidate is
         admissible iff it has no segments of its own and its cached
-        stitch cost fits the parent's padding.
+        stitch cost fits the parent's padding.  Ties keep the first
+        candidate in partition order, then queue order.
         """
         empty = parent.empty_bytes
         if empty <= 0:
             return None
         depth = self.search_depth
-        best: Optional[Flit] = None
+        best: Optional[Tuple[Flit, QueuePartition, int]] = None
         best_cost = 0
         for part in queue._partitions.values():
             remaining = depth
@@ -60,7 +69,7 @@ class StitchEngine:
                 cost = flit.stitch_cost()
                 if cost > empty or cost <= best_cost or flit.segments:
                     continue
-                best, best_cost = flit, cost
+                best, best_cost = (flit, part, depth - 1 - remaining), cost
                 if cost == empty:  # perfect fit, stop early
                     return best
         return best
@@ -69,14 +78,16 @@ class StitchEngine:
         """Absorb as many candidates as fit into ``parent``.
 
         Returns the number of candidates absorbed; absorbed flits are
-        removed from the queue (they travel inside the parent).
+        removed from the queue (they travel inside the parent) at the
+        position the search found them, never by a queue-wide scan.
         """
         absorbed = 0
         while True:
-            candidate = self.find_candidate(parent, queue)
-            if candidate is None:
+            hit = self._best_fit(parent, queue)
+            if hit is None:
                 break
-            queue.remove_flit(candidate)
+            candidate, part, index = hit
+            queue.remove_at(part, index)
             segment = parent.absorb(candidate)
             absorbed += 1
             self.candidates_absorbed += 1

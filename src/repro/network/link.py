@@ -528,46 +528,43 @@ class PacketLink(Component):
         flit_size = self.flit_size
         latency = self.latency
         sink = self.sink
-        peek_time = engine.peek_time
         schedule_at = engine.schedule_at
+        # exactly ``peek_time() == now``, minus the ring scan peek_time()
+        # falls into once the current cycle's bucket is exhausted
+        has_pending_now = engine.has_pending_now
         # stats accumulate in locals and flush once per drain burst: the
-        # five per-packet counter bumps otherwise dominate this loop
-        n_packets = n_flits = n_wire = n_useful = 0
+        # per-packet counter bumps otherwise dominate this loop
+        n_packets = n_wire = n_useful = 0
         while True:
             packet = queue.pop()
             wire_bytes = packet.bytes_occupied(flit_size)
             sent += wire_bytes
             n_packets += 1
-            n_flits += packet.flit_count(flit_size)
             n_wire += wire_bytes
             n_useful += packet.bytes_required
             # delivery once serialization completes: ceil(next_free) + latency
             schedule_at(anchor - ((-sent * den) // num) + latency, sink, packet)
-            if peek_time() == now:
+            if has_pending_now():
                 # another event is pending this cycle; chain through a
                 # zero-delay event so it interleaves exactly as before
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self.schedule(0, self._drain)
-                return
+                resume = 0
+                break
             # nothing else can run before the chained drain would: inline it
             if queue.is_empty():
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self._draining = False
-                return
+                resume = None
+                break
             if sent * den >= budget:
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self.schedule(anchor + (sent * den) // num - now, self._drain)
-                return
-
-    def _flush_stats(
-        self, n_packets: int, n_flits: int, n_wire: int, n_useful: int
-    ) -> None:
+                resume = anchor + (sent * den) // num - now
+                break
+        self._anchor, self._sent_bytes = anchor, sent
         stats = self.stats
         stats.busy_bytes += n_wire
         stats.packets += n_packets
-        stats.flits += n_flits
+        # every packet occupies whole flits
+        stats.flits += n_wire // flit_size
         stats.wire_bytes += n_wire
         stats.useful_bytes += n_useful
+        if resume is None:
+            self._draining = False
+        else:
+            self.schedule(resume, self._drain)

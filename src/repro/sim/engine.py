@@ -340,6 +340,16 @@ class Engine:
             return self._far[0][0]
         return None
 
+    def has_pending_now(self) -> bool:
+        """Whether another event is pending at the current cycle.
+
+        Exactly ``peek_time() == now``, without the ring scan
+        :meth:`peek_time` falls through to when the current bucket is
+        exhausted: every ring entry of another cycle and every far-heap
+        entry lies strictly after ``now``.
+        """
+        return len(self._ring[self._now & self._mask]) > self._cur_pos
+
     def pending_events(self) -> int:
         """Number of events currently queued."""
         return self._ring_size - self._cur_pos + len(self._far)

@@ -1,9 +1,13 @@
 """Tests for ``python -m repro.bench`` (report emission and --compare).
 
 These drive :func:`repro.bench.__main__.main` directly, running only the
-cheapest benchmark at quick size so the suite stays fast.
+cheapest benchmark at quick size so the suite stays fast.  The harness
+times it with a fake clock that advances a fixed step per reading: every
+repeat then "takes" the same time, so two runs compare at exactly 1.00x
+and no outcome depends on wall-clock noise under the 1.3x gate.
 """
 
+import itertools
 import json
 
 from repro.bench.__main__ import main
@@ -17,9 +21,13 @@ from repro.bench.schema import validate_report
 FAST = ["--only", "engine_dispatch", "--quick", "--repeats", "1"]
 
 
+def _fake_clock():
+    return itertools.count(0.0, 0.5).__next__
+
+
 def _run(tmp_path, extra=(), name="out.json"):
     out = tmp_path / name
-    code = main([*FAST, "--out", str(out), *extra])
+    code = main([*FAST, "--out", str(out), *extra], clock=_fake_clock())
     doc = json.loads(out.read_text()) if out.exists() else None
     return code, doc
 

@@ -39,6 +39,24 @@ class TestDiscovery:
         journal.publish_endpoint("127.0.0.1", 4141)
         assert discover_endpoint(str(tmp_path)) == ("127.0.0.1", 4141)
 
+    def test_discovery_leaves_in_flight_writes_alone(self, tmp_path):
+        # a server mid-publish holds a temp file beside server.json; a
+        # client polling for the endpoint must not sweep it away
+        CampaignJournal(tmp_path).publish_endpoint("127.0.0.1", 4141)
+        in_flight = tmp_path / "server.json.123.tmp"
+        in_flight.write_text("{")
+        record_tmp = tmp_path / "campaigns" / "abc.json.123.tmp"
+        record_tmp.write_text("{")
+        assert discover_endpoint(str(tmp_path)) == ("127.0.0.1", 4141)
+        assert in_flight.exists()
+        assert record_tmp.exists()
+
+    def test_discovery_does_not_create_the_journal(self, tmp_path):
+        root = tmp_path / "absent"
+        with pytest.raises(CampaignClientError, match="no campaign server"):
+            discover_endpoint(str(root))
+        assert not root.exists()
+
     def test_unreachable_server_raises(self, tmp_path):
         # a published endpoint nobody is listening on: connection refused,
         # surfaced as a client error rather than a raw OSError

@@ -215,6 +215,132 @@ def test_remove_unpooled_head_keeps_timer():
     assert q.stale_timers_cleared == 0
 
 
+def test_remove_at_returns_the_flit():
+    q = _queue()
+    flits = [_flit() for _ in range(4)]
+    for flit in flits:
+        q.push(flit)
+    part = q.partitions()[0]
+    assert q.remove_at(part, 2) is flits[2]
+    assert list(part.flits) == [flits[0], flits[1], flits[3]]
+    assert len(q) == 3
+    assert q.free_entries == 64 - 3
+
+
+def test_remove_at_pooled_head_clears_partition_timer():
+    q = _queue()
+    pooled, successor = _flit(), _flit()
+    pooled.pooled = True
+    q.push(pooled)
+    q.push(successor)
+    part = q.partitions()[0]
+    part.blocked_until, part.pooled_at = 100, 68
+    assert q.remove_at(part, 0) is pooled
+    assert part.blocked_until == 0
+    assert part.pooled_at == 0
+    assert q.stale_timers_cleared == 1
+    assert len(q) == 1
+    chosen, _ = q.select_partition(now=70)
+    assert chosen is part
+
+
+def test_remove_at_non_head_keeps_timer():
+    q = _queue()
+    head, pooled = _flit(), _flit()
+    # a pooled flit that is not the head does not own the timer
+    pooled.pooled = True
+    q.push(head)
+    q.push(pooled)
+    part = q.partitions()[0]
+    part.blocked_until = 100
+    assert q.remove_at(part, 1) is pooled
+    assert part.blocked_until == 100
+    assert q.stale_timers_cleared == 0
+    assert len(q) == 1
+
+
+def test_remove_at_unpooled_head_keeps_timer():
+    q = _queue()
+    head = _flit()
+    q.push(head)
+    part = q.partitions()[0]
+    part.blocked_until = 100
+    assert q.remove_at(part, 0) is head
+    assert part.blocked_until == 100
+    assert q.stale_timers_cleared == 0
+    assert q.is_empty()
+
+
+def test_remove_at_pooled_head_without_timer_counts_nothing():
+    q = _queue()
+    pooled = _flit()
+    pooled.pooled = True
+    q.push(pooled)
+    part = q.partitions()[0]
+    assert q.remove_at(part, 0) is pooled
+    assert q.stale_timers_cleared == 0
+
+
+def _packet_flits(ptype, payload=None):
+    kwargs = {} if payload is None else {"payload_bytes": payload}
+    return segment_packet(Packet(ptype=ptype, src_gpu=0, dst_gpu=2, **kwargs), 16)
+
+
+@given(
+    packets=st.lists(
+        st.tuples(st.sampled_from(list(PacketType)), st.booleans()),
+        min_size=1,
+        max_size=30,
+    ),
+    by_type=st.booleans(),
+    ptw=st.booleans(),
+)
+def test_push_packet_matches_per_flit_push(packets, by_type, ptw):
+    """Property: staging a packet at once assigns the same cq_seq values
+    and partitions, and leaves the same counters, as pushing its flits
+    one by one."""
+    per_flit = _queue(capacity=1024, by_type=by_type, ptw=ptw)
+    per_packet = _queue(capacity=1024, by_type=by_type, ptw=ptw)
+    for ptype, priority in packets:
+        a, b = _packet_flits(ptype), _packet_flits(ptype)
+        for flit in a:
+            assert per_flit.push(flit, priority)
+        key = per_packet.push_packet(b, priority)
+        assert key == per_flit.partition_key(a[0], priority)
+        assert [f.cq_seq for f in b] == [f.cq_seq for f in a]
+    assert [p.key for p in per_packet.partitions()] == [
+        p.key for p in per_flit.partitions()
+    ]
+    for pa, pb in zip(per_flit.partitions(), per_packet.partitions()):
+        assert [(f.cq_seq, f.index) for f in pa.flits] == [
+            (f.cq_seq, f.index) for f in pb.flits
+        ]
+    assert len(per_packet) == len(per_flit)
+    assert per_packet.total_accepted == per_flit.total_accepted
+    assert per_packet.free_entries == per_flit.free_entries
+
+
+def test_push_packet_is_all_or_nothing():
+    q = _queue(capacity=4)
+    q.push(_flit())
+    five = _packet_flits(PacketType.READ_RSP)  # 5 flits > 3 free
+    assert len(five) == 5
+    with pytest.raises(CapacityError):
+        q.push_packet(five)
+    assert len(q) == 1
+    assert q.total_accepted == 1
+
+
+def test_push_packet_counts_reserved_entries():
+    q = _queue(capacity=2, by_type=False)
+    q.push(_flit())
+    q.push(_flit())
+    q.pop_reserved(q.partitions()[0])
+    # one staged + one reserved: the freed slot is not free
+    with pytest.raises(CapacityError):
+        q.push_packet([_flit()])
+
+
 def test_push_front_restores_head():
     q = _queue()
     a, b = _flit(), _flit()

@@ -1,5 +1,7 @@
 """Tests for the Stitch Engine's candidate search and stitching."""
 
+from hypothesis import given, strategies as st
+
 from repro.core.cluster_queue import ClusterQueue
 from repro.core.stitching import StitchEngine
 from repro.network.flit import STITCH_METADATA_BYTES, segment_packet
@@ -125,3 +127,96 @@ def test_perfect_fit_early_exit():
     q.push(perfect)
     parent = _rsp_tail()
     assert engine.find_candidate(parent, q) is perfect
+
+
+def test_best_fit_reports_position():
+    engine = StitchEngine()
+    q = _queue()
+    for _ in range(2):
+        q.push(_flits(PacketType.READ_RSP)[0])  # full flits, never fit
+    req = _flits(PacketType.READ_REQ)[0]
+    q.push(req)
+    flit, part, index = engine._best_fit(_rsp_tail(), q)
+    assert flit is req
+    assert part.flits[index] is req
+
+
+def test_stitching_a_pooled_head_releases_its_timer():
+    engine = StitchEngine()
+    q = _queue()
+    pooled = _flits(PacketType.READ_REQ)[0]
+    pooled.pooled = True
+    q.push(pooled)
+    q.push(_flits(PacketType.READ_REQ)[0])
+    part = q.partitions()[0]
+    part.blocked_until, part.pooled_at = 100, 68
+    assert engine.stitch_all(_rsp_tail(), q) == 1
+    assert q.stale_timers_cleared == 1
+    assert part.blocked_until == 0
+    assert len(q) == 1
+
+
+_KINDS = [
+    PacketType.READ_REQ,
+    PacketType.READ_RSP,
+    PacketType.WRITE_REQ,
+    PacketType.WRITE_RSP,
+    PacketType.PT_REQ,
+    PacketType.PT_RSP,
+]
+
+
+def _staged(spec):
+    """A queue staged from ``spec``, a list of (kind, pooled head?) pairs;
+    every other partition carries a pooling timer."""
+    q = ClusterQueue(capacity=512, partition_by_type=True, separate_ptw=True)
+    for kind, pooled in spec:
+        flits = _flits(kind)
+        flits[0].pooled = pooled
+        for flit in flits:
+            q.push(flit)
+    for i, part in enumerate(q.partitions()):
+        part.blocked_until = 50 if i % 2 else 0
+    return q
+
+
+def _layout(q):
+    return [
+        (p.key, p.blocked_until, [(f.cq_seq, f.pooled) for f in p.flits])
+        for p in q.partitions()
+    ]
+
+
+@given(
+    spec=st.lists(
+        st.tuples(st.sampled_from(_KINDS), st.booleans()), min_size=1, max_size=60
+    ),
+    depth=st.integers(min_value=1, max_value=10),
+    parent_kind=st.sampled_from([PacketType.READ_RSP, PacketType.WRITE_REQ]),
+    payload=st.integers(min_value=1, max_value=64),
+)
+def test_positional_stitch_matches_scanning_removal(spec, depth, parent_kind, payload):
+    """Property: removing stitched candidates at the position the search
+    found them absorbs the same flits, in the same order, and leaves the
+    same queue, timers and counters as find_candidate + remove_flit."""
+    fast_q, ref_q = _staged(spec), _staged(spec)
+    fast_parent = _flits(parent_kind, payload)[-1]
+    ref_parent = _flits(parent_kind, payload)[-1]
+    engine = StitchEngine(search_depth=depth)
+    absorbed = engine.stitch_all(fast_parent, fast_q)
+    reference = StitchEngine(search_depth=depth)
+    ref_absorbed = 0
+    while True:
+        candidate = reference.find_candidate(ref_parent, ref_q)
+        if candidate is None:
+            break
+        assert ref_q.remove_flit(candidate)
+        ref_parent.absorb(candidate)
+        ref_absorbed += 1
+    assert absorbed == ref_absorbed
+    assert [s.flit.cq_seq for s in fast_parent.segments] == [
+        s.flit.cq_seq for s in ref_parent.segments
+    ]
+    assert _layout(fast_q) == _layout(ref_q)
+    assert len(fast_q) == len(ref_q)
+    assert fast_q.stale_timers_cleared == ref_q.stale_timers_cleared

@@ -309,3 +309,106 @@ class TestPacketLink:
         assert link.stats.flits == 5
         assert link.stats.wire_bytes == 80
         assert link.stats.useful_bytes == 76
+
+
+class _PeekDrainLink(PacketLink):
+    """Reference drain: the same batching, but the same-cycle test asks
+    ``Engine.peek_time() == now`` (the form the scan-free test replaces)."""
+
+    def _drain(self):
+        queue = self.queue
+        if queue.is_empty():
+            self._draining = False
+            return
+        engine = self.engine
+        now = engine.now
+        num, den = self._bpc_num, self._bpc_den
+        anchor, sent = self._anchor, self._sent_bytes
+        if sent * den >= (now + 1 - anchor) * num:
+            self.schedule(anchor + (sent * den) // num - now, self._drain)
+            return
+        if sent * den <= (now - anchor) * num:
+            anchor, sent = now, 0
+        budget = (now + 1 - anchor) * num
+        while True:
+            packet = queue.pop()
+            wire = packet.bytes_occupied(self.flit_size)
+            sent += wire
+            self.stats.busy_bytes += wire
+            self.stats.packets += 1
+            self.stats.flits += packet.flit_count(self.flit_size)
+            self.stats.wire_bytes += wire
+            self.stats.useful_bytes += packet.bytes_required
+            engine.schedule_at(
+                anchor - ((-sent * den) // num) + self.latency, self.sink, packet
+            )
+            self._anchor, self._sent_bytes = anchor, sent
+            if engine.peek_time() == now:
+                self.schedule(0, self._drain)
+                return
+            if queue.is_empty():
+                self._draining = False
+                return
+            if sent * den >= budget:
+                self.schedule(anchor + (sent * den) // num - now, self._drain)
+                return
+
+
+def _drain_trace(link_cls, seed, bandwidth, buffer_entries):
+    """Drive one link with bursty producers, backpressure and unrelated
+    same-cycle and far-future events; return every observation."""
+    import random
+
+    rng = random.Random(seed)
+    eng = Engine()
+    log = []
+    link = link_cls(
+        eng, "l", bandwidth, latency=rng.choice((0, 3)), flit_size=16,
+        sink=lambda p: log.append(("deliver", eng.now, eng.cur_skey, p.pid)),
+        buffer_entries=buffer_entries,
+    )
+    kinds = (PacketType.READ_REQ, PacketType.READ_RSP, PacketType.WRITE_RSP)
+    backlog = [
+        Packet(ptype=rng.choice(kinds), src_gpu=0, dst_gpu=1) for _ in range(150)
+    ]
+    pids = {p.pid: i for i, p in enumerate(backlog)}
+
+    def produce():
+        log.append(("produce", eng.now, eng.cur_skey))
+        for _ in range(rng.randrange(4)):
+            if not backlog:
+                return
+            if not link.send(backlog[0]):
+                link.notify_on_space(produce)
+                return
+            backlog.pop(0)
+        if backlog:
+            eng.schedule(rng.choice((0, 0, 1, 2, 300)), produce)
+
+    def noise(n):
+        log.append(("noise", eng.now, eng.cur_skey, n))
+        if n:
+            eng.schedule(rng.choice((0, 1, 5, Engine.HORIZON + 1)), noise, n - 1)
+
+    eng.schedule(0, produce)
+    eng.schedule(0, noise, 60)
+    eng.schedule(1, produce)
+    eng.run()
+    stats = link.stats
+    relabeled = [
+        entry[:3] + (pids[entry[3]],) if entry[0] == "deliver" else entry
+        for entry in log
+    ]
+    return relabeled, eng.events_processed, (
+        stats.packets, stats.flits, stats.wire_bytes, stats.useful_bytes
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("bandwidth,buffer_entries", [(128.0, 8), (16.0, 4), (48.0, 64)])
+def test_scan_free_drain_matches_peek_time_drain(seed, bandwidth, buffer_entries):
+    """Same events, same order, same counters as the peek_time() drain."""
+    fast = _drain_trace(PacketLink, seed, bandwidth, buffer_entries)
+    reference = _drain_trace(_PeekDrainLink, seed, bandwidth, buffer_entries)
+    assert fast == reference
+    assert any(entry[0] == "deliver" for entry in fast[0])

@@ -196,3 +196,72 @@ def test_max_events_break_after_queue_drained_still_advances():
     eng.schedule(2, lambda: None)
     eng.run(until=50, max_events=1)
     assert eng.now == 50
+
+
+class TestHasPendingNow:
+    """``has_pending_now`` is exactly ``peek_time() == now``."""
+
+    @staticmethod
+    def _agree(eng):
+        expected = eng.peek_time() == eng.now
+        assert eng.has_pending_now() is expected
+        return expected
+
+    def test_empty_engine(self):
+        eng = Engine()
+        assert not self._agree(eng)
+
+    def test_pending_same_cycle_event(self):
+        eng = Engine()
+        seen = []
+
+        def first():
+            eng.schedule(0, seen.append, "second")
+            seen.append(self._agree(eng))
+
+        eng.schedule(0, first)
+        eng.run()
+        assert seen == [True, "second"]
+
+    def test_exhausted_bucket_with_later_ring_events(self):
+        eng = Engine()
+        seen = []
+        eng.schedule(3, lambda: seen.append(self._agree(eng)))
+        eng.schedule(5, lambda: None)
+        eng.run(until=4)
+        # the cycle-3 bucket is dispatched, cycle 5 is still pending
+        assert seen == [False]
+        assert not self._agree(eng)
+
+    def test_far_heap_only(self):
+        eng = Engine()
+        seen = []
+
+        def probe():
+            eng.schedule(Engine.HORIZON * 3, lambda: None)
+            seen.append(self._agree(eng))
+
+        eng.schedule(1, probe)
+        eng.run()
+        assert seen == [False]
+
+    def test_random_schedules(self):
+        import random
+
+        rng = random.Random(7)
+        eng = Engine()
+        checks = []
+
+        def tick(depth):
+            checks.append(self._agree(eng))
+            if depth < 6:
+                for _ in range(rng.randrange(3)):
+                    delay = rng.choice((0, 0, 1, 2, Engine.HORIZON - 1,
+                                        Engine.HORIZON + 5, 3 * Engine.HORIZON))
+                    eng.schedule(delay, tick, depth + 1)
+
+        for _ in range(4):
+            eng.schedule(rng.randrange(4), tick, 0)
+        eng.run()
+        # both outcomes were exercised
+        assert True in checks and False in checks
