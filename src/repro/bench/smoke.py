@@ -1,7 +1,7 @@
 """End-to-end smoke sweep: the benchmark that doubles as a semantic gate.
 
 Runs a representative workload x configuration grid through
-:class:`~repro.gpu.system.MultiGpuSystem` directly (no result cache, no
+:func:`~repro.gpu.node.build_node` directly (no result cache, no
 parallel fan-out) and reports aggregate engine throughput plus a sha256
 digest over every run's :meth:`RunResult.to_dict` payload.
 
@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.gpu.system import MultiGpuSystem
+from repro.gpu.node import build_node
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -101,32 +101,6 @@ def results_digest(result_dicts: List[Dict[str, object]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _build_node(
-    system_config: SystemConfig,
-    variant: str,
-    seed: int,
-    n_shards: int,
-    window,
-    parallel: bool,
-    adaptive: bool = False,
-):
-    """Single-engine node, or the sharded front end when sharding is asked."""
-    netcrafter = _variant_config(variant)
-    if n_shards > 1 or window is not None or adaptive:
-        from repro.shard.coordinator import ShardedSystem
-
-        return ShardedSystem(
-            config=system_config,
-            netcrafter=netcrafter,
-            seed=seed,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-            adaptive=adaptive,
-        )
-    return MultiGpuSystem(config=system_config, netcrafter=netcrafter, seed=seed)
-
-
 def run_smoke_grid(
     quick: bool = False,
     seed: int = 0,
@@ -162,8 +136,14 @@ def run_smoke_grid(
         trace = get_workload(workload).build(
             n_gpus=system_config.n_gpus, scale=scale, seed=seed
         )
-        node = _build_node(
-            system_config, variant, seed, n_shards, window, parallel, adaptive
+        node = build_node(
+            system_config,
+            _variant_config(variant),
+            seed,
+            n_shards=n_shards,
+            window=window,
+            parallel=parallel,
+            adaptive=adaptive,
         )
         node.load(trace)
         result = node.run()
@@ -219,20 +199,16 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
         n_gpus=system_config.n_gpus, scale=scale, seed=0
     )
 
-    single = MultiGpuSystem(
-        config=system_config, netcrafter=NetCrafterConfig.full(), seed=0
-    )
+    single = build_node(system_config, NetCrafterConfig.full(), 0)
     single.load(trace)
     start = time.perf_counter()
     single_result = single.run()
     single_wall = time.perf_counter() - start
 
-    from repro.shard.coordinator import ShardedSystem
-
-    sharded = ShardedSystem(
-        config=system_config,
-        netcrafter=NetCrafterConfig.full(),
-        seed=0,
+    sharded = build_node(
+        system_config,
+        NetCrafterConfig.full(),
+        0,
         n_shards=2,
         parallel=True,
         adaptive=True,

@@ -52,7 +52,7 @@ from repro.network.ids import FLIT_IDS, PACKET_IDS
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -335,17 +335,28 @@ def resume(
     # fingerprint — and there the header's mode says which payload kind
     # this file holds
     if header["mode"] == "sharded":
-        return _resume_sharded(
-            payload,
-            config=config,
-            netcrafter=netcrafter,
-            seed=seed,
-            workload=workload,
+        from repro.gpu.node import build_node
+
+        # a sharded snapshot needs the sharded front end even for one
+        # shard; an explicit full-lookahead window asks for it and runs
+        # exactly like ``window=None``
+        node = build_node(
+            config,
+            netcrafter,
+            seed,
             n_shards=n_shards,
-            window=window,
+            window=config.effective_inter_link_latency if window is None else window,
             parallel=parallel,
             adaptive=adaptive,
             obs_spec=obs_spec,
+        )
+        node.load(workload)
+        return node.resume_run(
+            shard_states=payload["shard_states"],
+            kernel_index=payload["kernel_index"],
+            q=payload["q"],
+            windows_run=payload["windows_run"],
+            mail_seq=payload["mail_seq"],
             checkpointer=checkpointer,
         )
     if header["mode"] != "single":
@@ -373,43 +384,6 @@ def _resume_single(payload, checkpointer: Optional[Checkpointer]):
             f"(kernel {system._kernel_index})"
         )
     return system._collect(system._workload.name)
-
-
-def _resume_sharded(
-    payload,
-    *,
-    config,
-    netcrafter,
-    seed,
-    workload,
-    n_shards,
-    window,
-    parallel,
-    adaptive,
-    obs_spec,
-    checkpointer: Optional[Checkpointer],
-):
-    from repro.shard.coordinator import ShardedSystem
-
-    node = ShardedSystem(
-        config=config,
-        netcrafter=netcrafter,
-        seed=seed,
-        n_shards=n_shards,
-        window=window,
-        parallel=parallel,
-        adaptive=adaptive,
-        obs_spec=obs_spec,
-    )
-    node.load(workload)
-    return node.resume_run(
-        shard_states=payload["shard_states"],
-        kernel_index=payload["kernel_index"],
-        q=payload["q"],
-        windows_run=payload["windows_run"],
-        mail_seq=payload["mail_seq"],
-        checkpointer=checkpointer,
-    )
 
 
 __all__ = [

@@ -42,6 +42,7 @@ from repro.bench.smoke import (
     topology_smoke_config,
 )
 from repro.ckpt import Checkpointer, CheckpointError, resume, run_fingerprint
+from repro.gpu.node import build_node
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -90,28 +91,18 @@ def _point_context(spec: Dict[str, object]):
     return config, netcrafter, trace, fingerprint
 
 
-def _build_node(config, netcrafter, spec):
-    if spec["n_shards"] > 1 or spec["window"] is not None:
-        from repro.shard.coordinator import ShardedSystem
-
-        return ShardedSystem(
-            config=config,
-            netcrafter=netcrafter,
-            seed=spec["seed"],
-            n_shards=spec["n_shards"],
-            window=spec["window"],
-            parallel=spec["parallel"],
-        )
-    from repro.gpu.system import MultiGpuSystem
-
-    return MultiGpuSystem(config=config, netcrafter=netcrafter, seed=spec["seed"])
-
-
 def child_run_killed(spec: Dict[str, object]) -> int:
     """Child entry: simulate until the kill-boundary snapshot, then die."""
     config, netcrafter, trace, fingerprint = _point_context(spec)
     hook = KillAfterSave(spec["snapshot"], fingerprint, kill_at=spec["kill_at"])
-    node = _build_node(config, netcrafter, spec)
+    node = build_node(
+        config,
+        netcrafter,
+        spec["seed"],
+        n_shards=spec["n_shards"],
+        window=spec["window"],
+        parallel=spec["parallel"],
+    )
     node._ckpt_hook = hook
     node.load(trace)
     node.run()
@@ -306,7 +297,14 @@ def run_smoke(
             "parallel": parallel,
         }
         config, netcrafter, trace, _ = _point_context(spec)
-        reference = _build_node(config, netcrafter, spec)
+        reference = build_node(
+            config,
+            netcrafter,
+            seed,
+            n_shards=n_shards,
+            window=window,
+            parallel=parallel,
+        )
         reference.load(trace)
         # compare via the canonical digest: the probe payload round-tripped
         # through JSON (tuples have become lists), so compare the digests,

@@ -31,16 +31,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.cache import ResultCache, fingerprint
-from repro.gpu.system import MultiGpuSystem
-from repro.obs import (
-    NULL_TRACER,
-    EngineProfiler,
-    EventTracer,
-    MetricsRegistry,
-    Observability,
-)
+from repro.gpu.node import build_node
+from repro.obs import Observability, ShardObsSpec
 from repro.shard.coordinator import ShardedSystem
-from repro.shard.shard_system import ShardObsSpec
 from repro.stats.report import RunResult
 from repro.workloads.base import Scale
 from repro.workloads.registry import all_workload_names, get_workload
@@ -238,6 +231,15 @@ class ObservabilityOptions:
     def active(self) -> bool:
         return self.trace or self.metrics_interval is not None or self.profile
 
+    def spec(self) -> ShardObsSpec:
+        """The picklable instrument recipe these options ask for."""
+        return ShardObsSpec(
+            trace=self.trace,
+            trace_sample=self.trace_sample,
+            metrics_interval=self.metrics_interval,
+            profile=self.profile,
+        )
+
 
 @dataclass(frozen=True)
 class CheckpointOptions:
@@ -288,9 +290,10 @@ class ShardingOptions:
     byte-identical to the single-engine run, so the result cache stays
     shared between modes and the choice is purely about wall-clock.
 
-    Points whose system config the shard count does not divide fall back
-    to the single engine (identical results) rather than failing a whole
-    figure sweep.
+    Points the shard plan cannot serve (:meth:`ShardedSystem.supports
+    <repro.shard.coordinator.ShardedSystem.supports>`: a shard count not
+    dividing the clusters, or hardware coherence) fall back to the single
+    engine (identical results) rather than failing a whole figure sweep.
     """
 
     n_shards: int = 1
@@ -392,20 +395,6 @@ def observability_options() -> Optional[ObservabilityOptions]:
     return _obs_options
 
 
-def _build_observability(options: ObservabilityOptions) -> Observability:
-    return Observability(
-        tracer=(
-            EventTracer(sample=options.trace_sample) if options.trace else NULL_TRACER
-        ),
-        metrics=(
-            MetricsRegistry(options.metrics_interval)
-            if options.metrics_interval is not None
-            else None
-        ),
-        profiler=EngineProfiler() if options.profile else None,
-    )
-
-
 def _write_artifacts(
     options: ObservabilityOptions,
     obs: Observability,
@@ -461,13 +450,16 @@ def _simulate(point: ExperimentPoint) -> RunResult:
         n_gpus=point.system.n_gpus, scale=point.scale, seed=point.seed
     )
     options = _obs_options
+    spec = options.spec() if options is not None else None
     sharding = _sharding_options
-    use_shards = (
+    n_shards, eff_window, parallel, adaptive = 1, None, False, False
+    # points the shard plan cannot serve run on the single engine
+    # (identical results) instead of failing a whole sweep
+    if (
         sharding is not None
         and sharding.active
-        and point.system.n_clusters % sharding.n_shards == 0
-    )
-    if use_shards:
+        and ShardedSystem.supports(point.system, sharding.n_shards)
+    ):
         lookahead = point.system.effective_inter_link_latency
         n_shards = sharding.n_shards
         eff_window = (
@@ -475,18 +467,6 @@ def _simulate(point: ExperimentPoint) -> RunResult:
         )
         parallel = sharding.use_processes()
         adaptive = sharding.adaptive
-    else:
-        n_shards, eff_window, parallel, adaptive = 1, None, False, False
-    spec = (
-        ShardObsSpec(
-            trace=options.trace,
-            trace_sample=options.trace_sample,
-            metrics_interval=options.metrics_interval,
-            profile=options.profile,
-        )
-        if (use_shards and options is not None)
-        else None
-    )
 
     checkpointer = None
     if _ckpt_options is not None:
@@ -532,31 +512,21 @@ def _simulate(point: ExperimentPoint) -> RunResult:
                 checkpointer=checkpointer,
             )
 
-    if use_shards:
-        node = ShardedSystem(
-            config=point.system,
-            netcrafter=point.netcrafter,
-            seed=point.seed,
-            n_shards=n_shards,
-            window=eff_window,
-            parallel=parallel,
-            adaptive=adaptive,
-            obs_spec=spec,
-        )
-        node.load(trace)
-        node._ckpt_hook = checkpointer
-        result = node.run()
-        if options is not None:
-            _write_artifacts(options, node.merged_obs(), point, result)
-        return result
-    obs = _build_observability(options) if options is not None else None
-    node = MultiGpuSystem(
-        config=point.system, netcrafter=point.netcrafter, seed=point.seed, obs=obs
+    node = build_node(
+        point.system,
+        point.netcrafter,
+        point.seed,
+        n_shards=n_shards,
+        window=eff_window,
+        parallel=parallel,
+        adaptive=adaptive,
+        obs_spec=spec,
     )
     node.load(trace)
     node._ckpt_hook = checkpointer
     result = node.run()
-    if obs is not None:
+    if options is not None:
+        obs = node.merged_obs() if isinstance(node, ShardedSystem) else node.obs
         _write_artifacts(options, obs, point, result)
     return result
 

@@ -5,27 +5,24 @@ This is the top of the public API: construct with a
 :class:`~repro.core.config.NetCrafterConfig`, load a
 :class:`~repro.gpu.cta.WorkloadTrace`, call :meth:`run`, and read the
 returned :class:`~repro.stats.report.RunResult`.
+
+The hardware comes from :class:`~repro.gpu.node.NodeSlice`; this class
+adds the single-engine drive: the kernel-boundary quiesce poll, the
+launch/finish tail and the checkpoint hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.core.controller import NetCrafterController
-from repro.gpu.cta import KernelTrace, WorkloadTrace
-from repro.gpu.gpu import Gpu
+from repro.gpu.cta import KernelTrace
+from repro.gpu.node import NodeSlice
 from repro.network.ids import reset_run_ids
-from repro.network.link import FlitLink
-from repro.network.topology import Topology, build_topology
 from repro.obs import Observability
-from repro.sim.engine import Engine
-from repro.stats.assemble import assemble_result, controller_row, link_row
-from repro.stats.collectors import RunStats
+from repro.stats.assemble import assemble_result, link_row
 from repro.stats.report import RunResult
-from repro.vm.page_table import PageTable
-from repro.vm.placement import AddressSpace, LaspPlacement
 
 
 def config_label(config: SystemConfig, netcrafter: NetCrafterConfig) -> str:
@@ -55,8 +52,8 @@ def config_label(config: SystemConfig, netcrafter: NetCrafterConfig) -> str:
     return "+".join(parts)
 
 
-class MultiGpuSystem:
-    """A complete non-uniform bandwidth multi-GPU node."""
+class MultiGpuSystem(NodeSlice):
+    """A complete non-uniform bandwidth multi-GPU node on one engine."""
 
     def __init__(
         self,
@@ -65,164 +62,22 @@ class MultiGpuSystem:
         seed: int = 0,
         obs: Optional[Observability] = None,
     ) -> None:
-        self.config = config or SystemConfig.default()
-        self.netcrafter = netcrafter or NetCrafterConfig.baseline()
-        self.obs = obs or Observability()
-        if (
-            self.netcrafter.enable_trimming
-            and self.netcrafter.trim_sector_bytes != self.config.l1_sector_bytes
-        ):
-            raise ValueError(
-                "trim granularity must match the L1 sector size "
-                f"({self.netcrafter.trim_sector_bytes} != {self.config.l1_sector_bytes})"
-            )
-        self.seed = seed
+        config = config or SystemConfig.default()
         # fresh pid/fid streams: repeat runs in one process must be
         # indistinguishable from runs in fresh workers (trace sampling
         # and artifacts key on raw IDs)
         reset_run_ids()
-        self.engine = Engine()
-        self.stats = RunStats()
-        self.address_space = AddressSpace(self.config.n_gpus)
-        self.page_table = PageTable(self.address_space, root_gpu=0)
-        self.placement = LaspPlacement(self.address_space, self.page_table)
-        self.gpus: Dict[int, Gpu] = {
-            gpu_id: Gpu(
-                self.engine,
-                f"gpu{gpu_id}",
-                gpu_id,
-                self.config,
-                self.stats,
-                self.address_space,
-                self.page_table,
-            )
-            for gpu_id in range(self.config.n_gpus)
-        }
-        self.topology: Topology = build_topology(
-            self.engine, self.config, self.gpus, self._make_controller
+        super().__init__(
+            config,
+            netcrafter or NetCrafterConfig.baseline(),
+            seed,
+            obs,
+            gpu_ids=range(config.n_gpus),
         )
-        self._wire_observability()
-        if self.config.faults.active:
-            from repro.faults.layer import attach_fault_layer
-
-            attach_fault_layer(
-                self.config.faults,
-                inter_links=self.topology.inter_links,
-                switches=self.topology.switches.values(),
-                rdma_engines=[gpu.rdma for gpu in self.gpus.values()],
-                stats=self.stats,
-                flit_size=self.config.flit_size,
-            )
-        self._workload: Optional[WorkloadTrace] = None
-        self._kernel_index = 0
-        self._wavefronts_remaining = 0
-        # per-phase accounting (phase-labelled workloads only): the
-        # traffic-counter snapshot and cycle of the last kernel boundary
-        self._phase_tracking = False
-        self._phase_name: Optional[str] = None
-        self._phase_mark = (0, 0, 0, 0, 0)
-        self._phase_cycle = 0
         #: optional kernel-boundary observer (``hook(system)``), called at
         #: every quiesced boundary *before* the next launch; must not
         #: schedule events — :mod:`repro.ckpt` snapshots through it
         self._ckpt_hook = None
-
-    # -- construction helpers --------------------------------------------------
-
-    def _make_controller(
-        self, name: str, link: FlitLink, src_cluster: int, dst_cluster: int
-    ) -> NetCrafterController:
-        n_remote = max(1, self.config.n_clusters - 1)
-        capacity = max(16, self.netcrafter.cluster_queue_entries // n_remote)
-        return NetCrafterController(
-            self.engine,
-            name,
-            link,
-            flit_size=self.config.flit_size,
-            config=self.netcrafter,
-            queue_capacity=capacity,
-            seed=self.seed + src_cluster * 97 + dst_cluster,
-        )
-
-    def _wire_observability(self) -> None:
-        """Thread the tracer/profiler/metrics through the built system."""
-        self.engine.profiler = self.obs.profiler
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            for link in self.topology.inter_links:
-                link.tracer = tracer
-            for switch in self.topology.switches.values():
-                switch.tracer = tracer
-            for controller in self.topology.controllers:
-                controller.tracer = tracer
-            for gpu in self.gpus.values():
-                gpu.rdma.tracer = tracer
-        if self.obs.metrics is not None:
-            self._register_metrics(self.obs.metrics)
-
-    def _register_metrics(self, metrics) -> None:
-        """Register the standard gauge/counter set on ``metrics``.
-
-        Cumulative wire counters are summed across inter-cluster links so
-        the *final* sample equals the end-of-run ``LinkStats`` aggregates
-        (an invariant the test suite checks); occupancy-style gauges are
-        instantaneous.
-        """
-        inter = self.topology.inter_links
-
-        def summed(attr):
-            return lambda: sum(getattr(link.stats, attr) for link in inter)
-
-        metrics.register("inter.wire_bytes", summed("wire_bytes"))
-        metrics.register("inter.useful_bytes", summed("useful_bytes"))
-        metrics.register("inter.flits", summed("flits"))
-        metrics.register("inter.busy_cycles", summed("busy_cycles"))
-        for controller in self.topology.controllers:
-            queue = controller.queue
-            metrics.register(f"cq.{controller.name}.occupancy", lambda q=queue: len(q))
-            metrics.register(
-                f"cq.{controller.name}.blocked",
-                lambda q=queue: len(q.blocked_partitions(self.engine.now)),
-            )
-            metrics.register(
-                f"cq.{controller.name}.rejected", lambda q=queue: q.rejected
-            )
-        metrics.register(
-            "mshr.l2.occupancy",
-            lambda: sum(len(gpu.l2.mshr) for gpu in self.gpus.values()),
-        )
-        metrics.register(
-            "mshr.l1.occupancy",
-            lambda: sum(
-                len(cu.mshr) for gpu in self.gpus.values() for cu in gpu.cus
-            ),
-        )
-        metrics.register("engine.pending_events", self.engine.pending_events)
-        metrics.register("engine.events_processed", lambda: self.engine.events_processed)
-
-    def _sample_metrics(self) -> None:
-        """Periodic snapshot; stops once the run finished.
-
-        Post-finish firings sample nothing so the series stays
-        monotonic: ``_collect`` appends the authoritative final snapshot
-        at the finish cycle itself.
-        """
-        if self.stats.finish_cycle is not None:
-            return
-        metrics = self.obs.metrics
-        metrics.sample(self.engine.now)
-        self.engine.schedule(metrics.interval, self._sample_metrics)
-
-    # -- workload loading ----------------------------------------------------------
-
-    def load(self, workload: WorkloadTrace) -> None:
-        """Validate the workload and premap every page per LASP."""
-        workload.validate()
-        for kernel in workload.kernels:
-            for vpn, owner in kernel.page_owner.items():
-                self.placement.map_page(vpn, owner)
-        self._workload = workload
-        self._phase_tracking = any(k.phase is not None for k in workload.kernels)
 
     # -- execution ----------------------------------------------------------------
 
@@ -245,21 +100,11 @@ class MultiGpuSystem:
         return self._collect(self._workload.name)
 
     def _launch_kernel(self, kernel: KernelTrace) -> None:
-        self._wavefronts_remaining = kernel.wavefront_count()
+        self._wavefronts_remaining = self._owned_wavefront_count(kernel)
         if self._wavefronts_remaining == 0:
             self._on_kernel_done()
             return
-        rr_slot = {gpu_id: 0 for gpu_id in self.gpus}
-        for cta in kernel.ctas:
-            gpu = self.gpus[cta.gpu]
-            for wf in cta.wavefronts:
-                cu = gpu.cus[rr_slot[cta.gpu] % len(gpu.cus)]
-                rr_slot[cta.gpu] += 1
-                cu.enqueue_wavefront(wf)
-        for gpu in self.gpus.values():
-            for cu in gpu.cus:
-                cu.on_wavefront_done = self._on_wavefront_done
-                cu.start()
+        self._start_wavefronts(kernel)
 
     def _on_wavefront_done(self) -> None:
         self._wavefronts_remaining -= 1
@@ -305,79 +150,27 @@ class MultiGpuSystem:
         if self._kernel_index < len(self._workload.kernels):
             next_kernel = self._workload.kernels[self._kernel_index]
             if self._phase_tracking:
-                self._phase_close()
+                self._phase_close(self.engine.now)
                 self._phase_begin(next_kernel)
             self._launch_kernel(next_kernel)
         else:
             if self._phase_tracking:
-                self._phase_close()
+                self._phase_close(self.engine.now)
             self.stats.finish_cycle = self.engine.now
-
-    # -- per-phase accounting -----------------------------------------------------
-
-    def _phase_snapshot(self):
-        """Inter-link + egress-controller totals at a quiesced boundary.
-
-        Boundaries carry no in-flight traffic (the same property
-        :mod:`repro.ckpt` snapshots rely on), so these integer deltas
-        attribute every flit to exactly one phase — identically in the
-        single-engine and sharded drive modes.
-        """
-        links = self.topology.inter_links
-        ctrls = self.topology.controllers
-        return (
-            sum(link.stats.flits for link in links),
-            sum(link.stats.wire_bytes for link in links),
-            sum(link.stats.useful_bytes for link in links),
-            sum(c.stats.flits_entered for c in ctrls),
-            sum(c.stats.flits_absorbed for c in ctrls),
-        )
-
-    def _phase_begin(self, kernel: KernelTrace) -> None:
-        self._phase_name = kernel.phase
-        self.stats.set_live_phase(kernel.phase)
-        self._phase_mark = self._phase_snapshot()
-        self._phase_cycle = self.engine.now
-
-    def _phase_close(self) -> None:
-        """Attribute boundary-to-boundary deltas to the finished kernel."""
-        if self._phase_name is None:
-            return
-        mark = self._phase_mark
-        snap = self._phase_snapshot()
-        block = self.stats.phase(self._phase_name)
-        block.kernels += 1
-        block.cycles += self.engine.now - self._phase_cycle
-        block.inter_flits += snap[0] - mark[0]
-        block.inter_wire_bytes += snap[1] - mark[1]
-        block.inter_useful_bytes += snap[2] - mark[2]
-        block.flits_entered += snap[3] - mark[3]
-        block.flits_absorbed += snap[4] - mark[4]
 
     # -- result assembly ---------------------------------------------------------------
 
     def _collect(self, workload_name: str) -> RunResult:
         if self.obs.metrics is not None:
-            # final snapshot at the finish cycle, so cumulative series
-            # end exactly at the aggregate totals reported below
-            self.obs.metrics.sample(self.stats.finish_cycle)
-        topo = self.topology
+            self._final_metrics_sample(self.stats.finish_cycle)
         return assemble_result(
             workload=workload_name,
             config_label=self._config_label(),
             cycles=self.stats.finish_cycle,
             stats=self.stats,
             events_processed=self.engine.events_processed,
-            inter_rows=[link_row(link) for link in topo.inter_links],
-            intra_rows=[link_row(link) for link in topo.intra_links()],
-            controller_rows=[controller_row(c) for c in topo.controllers],
-            l2_accesses=sum(
-                gpu.l2.read_requests + gpu.l2.write_requests
-                for gpu in self.gpus.values()
-            ),
-            dram_accesses=sum(
-                gpu.dram.reads + gpu.dram.writes for gpu in self.gpus.values()
-            ),
+            intra_rows=[link_row(link) for link in self.topology.intra_links()],
+            **self._row_sums(),
         )
 
     def _config_label(self) -> str:

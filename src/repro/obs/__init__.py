@@ -1,7 +1,8 @@
 """Structured observability: tracing, metrics time series, profiling.
 
-The three legs, bundled by :class:`Observability` and threaded through
-:class:`~repro.gpu.system.MultiGpuSystem`:
+The three legs, bundled by :class:`Observability` (built from the
+picklable :class:`ShardObsSpec` recipe where it must cross a process)
+and threaded through every node by :class:`~repro.gpu.node.NodeSlice`:
 
 * :class:`~repro.obs.tracer.EventTracer` — per-flit/per-packet lifecycle
   events (inject, stage, pool, stitch, trim, eject, wire_start,
@@ -53,6 +54,7 @@ __all__ = [
     "MetricsRegistry",
     "EngineProfiler",
     "Observability",
+    "ShardObsSpec",
     "callback_key",
     "iter_jsonl",
     "validate_jsonl",
@@ -86,4 +88,35 @@ class Observability:
             self.tracer.enabled
             or self.metrics is not None
             or self.profiler is not None
+        )
+
+
+@dataclass(frozen=True)
+class ShardObsSpec:
+    """Picklable recipe for a run's observability instruments.
+
+    Live instruments hold simulator callbacks and cannot cross a process
+    boundary, so front ends pass this recipe instead and every engine —
+    the single engine, or each shard in its own process — builds its own
+    bundle from it.
+    """
+
+    trace: bool = False
+    trace_sample: int = 1
+    metrics_interval: Optional[int] = None
+    profile: bool = False
+
+    @property
+    def active(self) -> bool:
+        return self.trace or self.metrics_interval is not None or self.profile
+
+    def build(self) -> Observability:
+        return Observability(
+            tracer=EventTracer(sample=self.trace_sample) if self.trace else NULL_TRACER,
+            metrics=(
+                MetricsRegistry(self.metrics_interval)
+                if self.metrics_interval is not None
+                else None
+            ),
+            profiler=EngineProfiler() if self.profile else None,
         )

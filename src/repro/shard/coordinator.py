@@ -48,12 +48,14 @@ from typing import List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.cta import WorkloadTrace
+from repro.gpu.node import validate_configs
 from repro.gpu.system import config_label
+from repro.obs import ShardObsSpec
 from repro.obs.merge import MergedObservability, merge_observability
 from repro.shard.mailbox import MailBatch, MailItem, Mailbox
 from repro.shard.merge import ShardReport, ShardStatus, merge_reports
 from repro.shard.partition import ShardPlan
-from repro.shard.shard_system import ShardObsSpec, ShardSystem
+from repro.shard.shard_system import ShardSystem
 from repro.shard.worker import LocalShard, RemoteShard
 from repro.stats.coord import CoordStats
 from repro.stats.report import RunResult
@@ -102,18 +104,13 @@ class ShardedSystem:
     ) -> None:
         self.config = config or SystemConfig.default()
         self.netcrafter = netcrafter or NetCrafterConfig.baseline()
-        if (
-            self.netcrafter.enable_trimming
-            and self.netcrafter.trim_sector_bytes != self.config.l1_sector_bytes
-        ):
+        validate_configs(self.config, self.netcrafter)
+        if not self.supports(self.config, n_shards):
             raise ValueError(
-                "trim granularity must match the L1 sector size "
-                f"({self.netcrafter.trim_sector_bytes} != {self.config.l1_sector_bytes})"
-            )
-        if self.config.coherence != "software":
-            raise ValueError(
-                "cluster sharding requires software coherence (the analytic "
-                "kernel-boundary replay assumes kernel-scoped L1 flushes)"
+                f"cannot shard this node {n_shards} way(s): cluster sharding "
+                "requires software coherence (the analytic kernel-boundary "
+                "replay assumes kernel-scoped L1 flushes) and a shard count "
+                f"dividing n_clusters ({self.config.n_clusters})"
             )
         self.seed = seed
         self.plan = ShardPlan.from_config(self.config, n_shards)
@@ -141,6 +138,16 @@ class ShardedSystem:
         #: observes every proven kernel boundary before the launch
         #: broadcast (pure observer — no simulator state is touched)
         self._ckpt_hook = None
+
+    @staticmethod
+    def supports(config: SystemConfig, n_shards: int) -> bool:
+        """Whether ``config`` can run as ``n_shards`` cluster shards; the
+        constructor raises exactly when this is false."""
+        return (
+            config.coherence == "software"
+            and n_shards >= 1
+            and config.n_clusters % n_shards == 0
+        )
 
     # -- MultiGpuSystem-parity API ------------------------------------------
 
@@ -190,7 +197,7 @@ class ShardedSystem:
             )
         self._ckpt_hook = checkpointer
         self.windows_run = windows_run
-        handles = self._restore_handles(shard_states)
+        handles = self._build_handles(shard_states)
         try:
             mailbox = Mailbox()
             mailbox._last_seq.update(mail_seq)
@@ -210,9 +217,14 @@ class ShardedSystem:
 
     # -- internals ----------------------------------------------------------
 
-    def _build_handles(self) -> List[object]:
+    def _build_handles(
+        self, shard_states: Optional[List[bytes]] = None
+    ) -> List[object]:
+        """One handle per shard, built fresh or restored from checkpointed
+        ``shard_states``."""
         handles: List[object] = []
         for shard_index in range(self.n_shards):
+            state = None if shard_states is None else shard_states[shard_index]
             if self.parallel:
                 handles.append(
                     RemoteShard(
@@ -222,10 +234,13 @@ class ShardedSystem:
                         shard_index,
                         self.n_shards,
                         self.obs_spec,
-                        self._workload,
+                        workload=self._workload if state is None else None,
+                        shard_state=state,
                         coord_stats=self.coord_stats,
                     )
                 )
+            elif state is not None:
+                handles.append(LocalShard(ShardSystem.from_snapshot_state(state)))
             else:
                 system = ShardSystem(
                     self.config,
@@ -237,28 +252,6 @@ class ShardedSystem:
                 )
                 system.load(self._workload)
                 handles.append(LocalShard(system))
-        return handles
-
-    def _restore_handles(self, shard_states: List[bytes]) -> List[object]:
-        """Handles over checkpointed shard state instead of fresh builds."""
-        handles: List[object] = []
-        for shard_index, state in enumerate(shard_states):
-            if self.parallel:
-                handles.append(
-                    RemoteShard(
-                        self.config,
-                        self.netcrafter,
-                        self.seed,
-                        shard_index,
-                        self.n_shards,
-                        self.obs_spec,
-                        workload=None,
-                        shard_state=state,
-                        coord_stats=self.coord_stats,
-                    )
-                )
-            else:
-                handles.append(LocalShard(ShardSystem.from_snapshot_state(state)))
         return handles
 
     def _broadcast(self, handles, commands) -> List[object]:

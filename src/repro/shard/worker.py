@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.shard.mailbox import MailBatch, MailItem
-from repro.shard.shard_system import ShardObsSpec, ShardSystem
+from repro.obs import ShardObsSpec
+from repro.shard.shard_system import ShardSystem
 from repro.stats.coord import CoordStats
 
 

@@ -8,6 +8,7 @@ from repro.experiments.runner import (
     ExperimentPoint,
     ExperimentScale,
     ObservabilityOptions,
+    ShardingOptions,
     clear_cache,
     disk_cache,
     reset_run_stats,
@@ -17,6 +18,8 @@ from repro.experiments.runner import (
     run_stats,
     set_cache_dir,
     set_observability,
+    set_sharding,
+    sharding_options,
 )
 from repro.workloads.base import Scale
 
@@ -128,6 +131,23 @@ class TestRunMany:
         assert run_stats.memory_hits == 4
         assert run_stats.batches == 2
         assert len(run_stats.timings) == 4
+
+
+class TestShardingFallback:
+    def test_hardware_coherence_point_runs_on_the_single_engine(self):
+        """Sharding cannot serve hardware coherence; the point falls back
+        to the single engine instead of failing the sweep."""
+        system = SystemConfig.default().with_overrides(coherence="hardware")
+        single = run_one("gups", system=system, scale=Scale.tiny(), use_cache=False)
+        previous = sharding_options()
+        set_sharding(ShardingOptions(n_shards=2, parallel=False))
+        try:
+            sharded = run_one(
+                "gups", system=system, scale=Scale.tiny(), use_cache=False
+            )
+        finally:
+            set_sharding(previous)
+        assert sharded.to_dict() == single.to_dict()
 
 
 class TestDiskCache:

@@ -12,6 +12,7 @@ import pytest
 from repro.bench.smoke import results_digest
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
+from repro.gpu.node import build_node
 from repro.gpu.system import MultiGpuSystem
 from repro.shard.coordinator import ShardedSystem
 from repro.workloads.base import Scale
@@ -91,10 +92,40 @@ class TestProcessParallel:
         ) == _sharded_digest(n_shards=2, window=1)
 
 
+class TestBuildNode:
+    @pytest.mark.parametrize(
+        "request_kwargs, front_end",
+        [
+            ({"n_shards": 1}, MultiGpuSystem),
+            ({"n_shards": 2}, ShardedSystem),
+            ({"window": 4}, ShardedSystem),
+            ({"adaptive": True}, ShardedSystem),
+        ],
+        ids=["single", "shards", "window", "adaptive"],
+    )
+    def test_builds_the_requested_front_end(self, request_kwargs, front_end):
+        node = build_node(CONFIG, NetCrafterConfig.full(), 0, **request_kwargs)
+        assert type(node) is front_end
+        assert _run("gups", node) == _single_digest()
+
+
 class TestValidation:
     def test_shards_must_divide_clusters(self):
         with pytest.raises(ValueError):
             ShardedSystem(config=CONFIG, n_shards=3)
+
+    @pytest.mark.parametrize(
+        "config, n_shards",
+        [(CONFIG, 3), (CONFIG.with_overrides(coherence="hardware"), 2)],
+        ids=["indivisible", "hardware-coherence"],
+    )
+    def test_unshardable_requests_raise(self, config, n_shards):
+        assert not ShardedSystem.supports(config, n_shards)
+        with pytest.raises(ValueError):
+            ShardedSystem(config=config, n_shards=n_shards)
+        # an explicit request never falls back to the single engine
+        with pytest.raises(ValueError):
+            build_node(config, NetCrafterConfig.full(), 0, n_shards=n_shards)
 
     @pytest.mark.parametrize("window", [0, WINDOW + 1])
     def test_window_must_respect_the_lookahead_bound(self, window):

@@ -18,7 +18,7 @@ from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.shard import worker as worker_mod
 from repro.shard.coordinator import ShardedSystem
-from repro.shard.shard_system import ShardObsSpec
+from repro.obs import ShardObsSpec
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
