@@ -37,6 +37,8 @@ _DIGEST_EXCLUDED_FIELDS = (
     "profile_path",
 )
 
+#: the seed of every smoke-grid point (the committed digests are seed 0's)
+SEED = 0
 #: (workload, netcrafter-variant) grid; quick drops to the first entries
 _WORKLOADS_FULL = ("gups", "mt", "mis", "spmv")
 _WORKLOADS_QUICK = ("gups", "mt")
@@ -103,45 +105,39 @@ def results_digest(result_dicts: List[Dict[str, object]]) -> str:
 
 def run_smoke_grid(
     quick: bool = False,
-    seed: int = 0,
-    n_shards: int = 1,
-    window=None,
-    parallel: bool = False,
-    system_config: SystemConfig = None,
-    topology: str = "mesh",
+    *,
     collective: bool = False,
+    system_config: SystemConfig = None,
+    n_shards: int = 1,
+    parallel: bool = False,
     adaptive: bool = False,
 ):
     """Simulate the grid; returns (results, total_events, total_cycles).
 
-    With ``n_shards > 1`` (or an explicit ``window``) every point runs
-    through :class:`~repro.shard.coordinator.ShardedSystem` instead of
-    the single engine; by the lookahead-window construction the results
-    — and therefore the digest — are byte-identical.
+    With ``n_shards > 1`` (or ``adaptive``) every point runs through
+    :class:`~repro.shard.coordinator.ShardedSystem` instead of the
+    single engine; by the lookahead-window construction the results —
+    and therefore the digest — are byte-identical.
 
-    ``topology`` selects the fabric's standard smoke node
-    (:func:`topology_smoke_config`); every registered topology carries
-    its own committed digest entries, gated identically to the mesh.
-    ``system_config`` overrides the node entirely — the fault-injection
-    inertness gate reruns the grid with disabled fault configs and
-    requires the committed digest back.
+    ``system_config`` is the node (default: the mesh smoke node); the
+    digest gate passes each topology's :func:`topology_smoke_config`,
+    with inert fault configs for its ``zero_faults`` perturbation.
     """
     if system_config is None:
-        system_config = topology_smoke_config(topology)
+        system_config = topology_smoke_config("mesh")
     scale = Scale.small()
     results = []
     total_events = 0
     total_cycles = 0
     for workload, variant in smoke_points(quick, collective):
         trace = get_workload(workload).build(
-            n_gpus=system_config.n_gpus, scale=scale, seed=seed
+            n_gpus=system_config.n_gpus, scale=scale, seed=SEED
         )
         node = build_node(
             system_config,
             _variant_config(variant),
-            seed,
+            SEED,
             n_shards=n_shards,
-            window=window,
             parallel=parallel,
             adaptive=adaptive,
         )
@@ -239,160 +235,3 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
     # exact pickle bytes over the worker pipes, coordinator idle wait
     extra.update(sharded.coord_stats.to_dict())
     return single_result.cycles, extra
-
-
-# -- CLI: the CI shard-smoke gate --------------------------------------------
-
-
-def _grid_key(
-    quick: bool, topology: str = "mesh", collective: bool = False
-) -> str:
-    """Digest-file key: historical bare keys for mesh, prefixed otherwise;
-    the collective family's grids get a ``collective:`` prefix on top."""
-    grid = "quick" if quick else "full"
-    key = grid if topology == "mesh" else f"{topology}:{grid}"
-    return f"collective:{key}" if collective else key
-
-
-def main(argv=None) -> int:
-    """Run the smoke grid (optionally sharded) and check its digest.
-
-    The committed ``SMOKE_digest.json`` records the single-engine digest
-    per grid; CI re-runs the grid in sequential-windowed and 2-shard
-    process-parallel modes and requires both to reproduce it exactly.
-    """
-    import argparse
-    import sys
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.smoke",
-        description="Run the smoke sweep and verify its result digest.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="gups+mt grid instead of all four"
-    )
-    parser.add_argument(
-        "--collective",
-        action="store_true",
-        help="smoke the collective-communication family instead of the "
-        "Table-3 grid (all four collectives; --quick drops the baseline "
-        "variant)",
-    )
-    parser.add_argument(
-        "--topology",
-        default="mesh",
-        metavar="SHAPE",
-        help="inter-cluster fabric to smoke (any registered topology; "
-        "default mesh, the paper fabric, on the historical 2x2 node)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run every point as N cluster shards (default 1: single engine)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="lookahead window override (default: the inter-cluster latency)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="shards in worker processes (default: sequential round-robin)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive lookahead windows (digest-identical to fixed)",
-    )
-    parser.add_argument(
-        "--expect-digest",
-        metavar="HEX",
-        help="fail unless the grid digest equals this sha256",
-    )
-    parser.add_argument(
-        "--expect-file",
-        metavar="PATH",
-        help="fail unless the digest matches this grid's entry in the "
-        "committed digest file (e.g. SMOKE_digest.json)",
-    )
-    parser.add_argument(
-        "--write-file",
-        metavar="PATH",
-        help="record this grid's digest into the digest file (merging "
-        "with any other grid's entry)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.network.topologies import topology_names
-
-    if args.topology not in topology_names():
-        print(
-            f"unknown topology {args.topology!r}; "
-            f"registered: {', '.join(topology_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    grid_key = _grid_key(args.quick, args.topology, args.collective)
-    results, events, cycles = run_smoke_grid(
-        quick=args.quick,
-        seed=args.seed,
-        n_shards=args.shards,
-        window=args.window,
-        parallel=args.parallel,
-        topology=args.topology,
-        collective=args.collective,
-        adaptive=args.adaptive,
-    )
-    digest = results_digest([r.to_dict() for r in results])
-    mode = (
-        "single-engine"
-        if args.shards <= 1 and args.window is None and not args.adaptive
-        else f"{args.shards} shard(s), "
-        + ("process-parallel" if args.parallel else "sequential-windowed")
-        + (", adaptive" if args.adaptive else "")
-    )
-    print(
-        f"smoke grid [{grid_key}] {mode}: "
-        f"{len(results)} points, {cycles} cycles, {events} events"
-    )
-    print(f"digest {digest}")
-
-    exit_code = 0
-    expected = args.expect_digest
-    if args.expect_file:
-        committed = json.loads(Path(args.expect_file).read_text())
-        expected = committed.get(grid_key)
-        if expected is None:
-            print(
-                f"{args.expect_file} has no entry for the "
-                f"{grid_key!r} grid",
-                file=sys.stderr,
-            )
-            return 2
-    if expected is not None:
-        if digest == expected:
-            print("digest matches the committed single-engine digest")
-        else:
-            print(f"DIGEST MISMATCH: expected {expected}", file=sys.stderr)
-            exit_code = 1
-
-    if args.write_file:
-        path = Path(args.write_file)
-        doc = json.loads(path.read_text()) if path.exists() else {}
-        doc[grid_key] = digest
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"recorded digest in {path}")
-    return exit_code
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

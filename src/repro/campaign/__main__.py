@@ -133,22 +133,11 @@ def _cmd_submit(args) -> int:
     print(json.dumps(summary), flush=True)
 
     if args.expect_digest_file:
-        expected = json.loads(Path(args.expect_digest_file).read_text())
-        key = args.expect_digest_key
-        if key not in expected:
-            print(
-                f"digest file {args.expect_digest_file} has no key {key!r}",
-                file=sys.stderr,
-            )
-            return 1
-        if fetched["digest"] != expected[key]:
-            print(
-                f"digest mismatch for {key!r}: served {fetched['digest']}, "
-                f"expected {expected[key]}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"digest matches {args.expect_digest_file}[{key!r}]")
+        from repro.gate import expect_digest
+
+        return expect_digest(
+            args.expect_digest_file, args.expect_digest_key, fetched["digest"]
+        )
     return 0
 
 

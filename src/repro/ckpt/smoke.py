@@ -1,26 +1,21 @@
-"""Kill-and-resume smoke: the checkpoint subsystem's standing gate.
+"""Kill-and-resume of one smoke-grid point across real process boundaries.
 
-For every point of the :mod:`repro.bench.smoke` grid this harness
+:func:`kill_and_resume_point`
 
 1. runs the point in a child process with a checkpoint hook that
    hard-kills the child (``os._exit``, no cleanup, no atexit) the
    instant its boundary snapshot is published,
-2. asserts the child actually died at the checkpoint,
-3. resumes the snapshot in a *fresh* interpreter, and
-4. requires the resumed results' grid digest to equal the committed
-   ``SMOKE_digest.json`` entry — the same digest an uninterrupted
-   single-engine sweep produces, byte for byte.
+2. asserts the child actually died at the checkpoint, and
+3. resumes the snapshot in a *fresh* interpreter, returning the resumed
+   run's result payload.
 
-Because the committed digest is produced by runs that never checkpoint,
-passing here proves simultaneously that the hook is a pure observer and
-that a killed-and-resumed run is indistinguishable from an undisturbed
-one.  The sweep runs in all three execution modes (single-engine,
-sequential-windowed, process-parallel) and on any topology-zoo shape
-with a committed digest entry.
-
-A multi-kernel probe (``mm2``, killed at its *mid-run* boundary) rides
-along: smoke-grid workloads quiesce once at the end, so the probe is
-what exercises resume with real follow-on kernels.
+The digest gate (:mod:`repro.gate`, perturbation ``kill_resume``)
+digests the resumed payloads of a whole grid and requires the committed
+``SMOKE_digest.json`` entry — the digest of runs that never checkpoint
+— so passing proves both that the hook is a pure observer and that a
+killed-and-resumed run is indistinguishable from an undisturbed one.
+Table-3 grid workloads quiesce once, at the end; the collective grid's
+multi-kernel workloads die at a true mid-run boundary.
 """
 
 from __future__ import annotations
@@ -32,15 +27,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.bench.smoke import (
-    _grid_key,
-    _variant_config,
-    results_digest,
-    smoke_points,
-    topology_smoke_config,
-)
+from repro.bench.smoke import SEED, _variant_config, topology_smoke_config
 from repro.ckpt import Checkpointer, CheckpointError, resume, run_fingerprint
 from repro.gpu.node import build_node
 from repro.workloads.base import Scale
@@ -78,15 +67,10 @@ def _point_context(spec: Dict[str, object]):
     config = topology_smoke_config(spec["topology"])
     netcrafter = _variant_config(spec["variant"])
     trace = get_workload(spec["workload"]).build(
-        n_gpus=config.n_gpus, scale=Scale.small(), seed=spec["seed"]
+        n_gpus=config.n_gpus, scale=Scale.small(), seed=SEED
     )
     fingerprint = run_fingerprint(
-        config,
-        netcrafter,
-        spec["seed"],
-        trace,
-        n_shards=spec["n_shards"],
-        window=spec["window"],
+        config, netcrafter, SEED, trace, n_shards=spec["n_shards"]
     )
     return config, netcrafter, trace, fingerprint
 
@@ -98,10 +82,10 @@ def child_run_killed(spec: Dict[str, object]) -> int:
     node = build_node(
         config,
         netcrafter,
-        spec["seed"],
+        SEED,
         n_shards=spec["n_shards"],
-        window=spec["window"],
         parallel=spec["parallel"],
+        adaptive=spec["adaptive"],
     )
     node._ckpt_hook = hook
     node.load(trace)
@@ -116,11 +100,11 @@ def child_resume(spec: Dict[str, object]) -> int:
         spec["snapshot"],
         config=config,
         netcrafter=netcrafter,
-        seed=spec["seed"],
+        seed=SEED,
         workload=trace,
         n_shards=spec["n_shards"],
-        window=spec["window"],
         parallel=spec["parallel"],
+        adaptive=spec["adaptive"],
     )
     print(json.dumps(result.to_dict()))
     return 0
@@ -166,11 +150,10 @@ def kill_and_resume_point(
     variant: str,
     *,
     snapshot_dir: Path,
-    seed: int = 0,
     topology: str = "mesh",
     n_shards: int = 1,
-    window: Optional[int] = None,
     parallel: bool = False,
+    adaptive: bool = False,
     kill_at: int = 1,
 ) -> Dict[str, object]:
     """Save → hard-kill → resume one point across real process boundaries.
@@ -181,17 +164,18 @@ def kill_and_resume_point(
     """
     snapshot_dir = Path(snapshot_dir)
     snapshot_dir.mkdir(parents=True, exist_ok=True)
-    mode = "single" if n_shards <= 1 and window is None else (
+    mode = "single" if n_shards <= 1 and not adaptive else (
         "par" if parallel else "seq"
     )
+    if adaptive:
+        mode += "-adaptive"
     spec = {
         "workload": workload,
         "variant": variant,
-        "seed": seed,
         "topology": topology,
         "n_shards": n_shards,
-        "window": window,
         "parallel": parallel,
+        "adaptive": adaptive,
         "kill_at": kill_at,
         "snapshot": str(
             snapshot_dir / f"{topology}-{workload}-{variant}-{mode}.ckpt"
@@ -216,106 +200,3 @@ def kill_and_resume_point(
             f"{resumed.returncode} (stderr: {resumed.stderr.strip()[-2000:]})"
         )
     return json.loads(resumed.stdout.strip().splitlines()[-1])
-
-
-def run_smoke(
-    quick: bool = True,
-    *,
-    topology: str = "mesh",
-    n_shards: int = 1,
-    window: Optional[int] = None,
-    parallel: bool = False,
-    seed: int = 0,
-    snapshot_dir: Path = Path("results/ckpt-smoke"),
-    expect_file: Optional[str] = "SMOKE_digest.json",
-    midrun_probe: bool = True,
-) -> int:
-    """The ``python -m repro.ckpt --smoke`` gate; returns an exit code."""
-    grid_key = _grid_key(quick, topology)
-    mode = (
-        "single-engine"
-        if n_shards <= 1 and window is None
-        else f"{n_shards} shard(s), "
-        + ("process-parallel" if parallel else "sequential-windowed")
-    )
-    print(f"ckpt kill-and-resume smoke [{grid_key}] {mode}")
-    results: List[Dict[str, object]] = []
-    for workload, variant in smoke_points(quick):
-        payload = kill_and_resume_point(
-            workload,
-            variant,
-            snapshot_dir=snapshot_dir,
-            seed=seed,
-            topology=topology,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-        )
-        print(f"  {workload}/{variant}: killed at checkpoint, resumed OK")
-        results.append(payload)
-    digest = results_digest(results)
-    print(f"resumed-grid digest {digest}")
-
-    exit_code = 0
-    if expect_file:
-        committed = json.loads(Path(expect_file).read_text())
-        expected = committed.get(grid_key)
-        if expected is None:
-            print(
-                f"{expect_file} has no entry for the {grid_key!r} grid",
-                file=sys.stderr,
-            )
-            return 2
-        if digest == expected:
-            print("digest matches the committed uninterrupted-run digest")
-        else:
-            print(f"DIGEST MISMATCH: expected {expected}", file=sys.stderr)
-            exit_code = 1
-
-    if midrun_probe:
-        # the grid workloads quiesce once; mm2 has a true mid-run
-        # boundary, so kill there and compare against an in-process
-        # uninterrupted reference
-        probe = kill_and_resume_point(
-            "mm2",
-            "full",
-            snapshot_dir=snapshot_dir,
-            seed=seed,
-            topology=topology,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-            kill_at=1,
-        )
-        spec = {
-            "workload": "mm2",
-            "variant": "full",
-            "seed": seed,
-            "topology": topology,
-            "n_shards": n_shards,
-            "window": window,
-            "parallel": parallel,
-        }
-        config, netcrafter, trace, _ = _point_context(spec)
-        reference = build_node(
-            config,
-            netcrafter,
-            seed,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-        )
-        reference.load(trace)
-        # compare via the canonical digest: the probe payload round-tripped
-        # through JSON (tuples have become lists), so compare the digests,
-        # which canonicalize both sides the same way
-        if results_digest([probe]) == results_digest([reference.run().to_dict()]):
-            print("mm2 mid-run boundary: killed at kernel 1/2, resumed byte-identical")
-        else:
-            print(
-                "mm2 mid-run boundary: resumed result DIVERGED from the "
-                "uninterrupted run",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    return exit_code

@@ -545,10 +545,6 @@ def execute_point(point: ExperimentPoint) -> Tuple[RunResult, float]:
     return result, time.perf_counter() - start
 
 
-#: historical private name (process-pool workers resolve it by name)
-_execute_point = execute_point
-
-
 def _record_executed(point: ExperimentPoint, result: RunResult, seconds: float) -> None:
     run_stats.executed += 1
     run_stats.exec_seconds += seconds

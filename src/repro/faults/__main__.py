@@ -1,13 +1,4 @@
-"""CI gates for the fault-injection subsystem.
-
-Two checks, both cheap enough for every pull request:
-
-``--check-inert``
-    Reruns the quick smoke grid with fault configs that must be inert —
-    all rates zero (auto-disable) and ``enabled=False`` with nonzero
-    rates (forced off) — and requires the committed single-engine digest
-    (``SMOKE_digest.json``) back, byte for byte.  Proves the subsystem
-    costs nothing and changes nothing when disabled.
+"""CI gate for the fault-injection subsystem when it is on.
 
 ``--chaos-smoke``
     One seeded faulty run; asserts faults actually fired (nonzero
@@ -18,51 +9,21 @@ Two checks, both cheap enough for every pull request:
     delivers exactly the same payload bytes as a fault-free run of the
     same workload.  Proves the subsystem works when enabled.
 
+That it changes nothing when off — inert fault configs reproduce the
+committed digests — is the digest gate's ``zero_faults`` perturbation
+(``python -m repro.gate --perturbation zero_faults``).
+
 Usage::
 
-    python -m repro.faults --check-inert --expect-file SMOKE_digest.json
     python -m repro.faults --chaos-smoke
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from repro.faults.config import FaultConfig, FlapWindow
-
-
-def check_inert(expect_file: str) -> int:
-    from repro.bench.smoke import results_digest, run_smoke_grid
-    from repro.config import SystemConfig
-
-    expected = json.loads(Path(expect_file).read_text())["quick"]
-    cases = [
-        ("zero rates (auto-disable)", FaultConfig()),
-        (
-            "enabled=False with nonzero rates",
-            FaultConfig(
-                ber=1e-4,
-                drop_rate=0.01,
-                flaps=(FlapWindow(100, 500, 0.5),),
-                seed=9,
-                enabled=False,
-            ),
-        ),
-    ]
-    failures = 0
-    for label, faults in cases:
-        config = SystemConfig.default().with_overrides(faults=faults)
-        results, _, _ = run_smoke_grid(quick=True, system_config=config)
-        digest = results_digest([r.to_dict() for r in results])
-        ok = digest == expected
-        print(f"inert [{label}]: {digest} {'OK' if ok else 'MISMATCH'}")
-        if not ok:
-            print(f"  expected {expected}", file=sys.stderr)
-            failures += 1
-    return 1 if failures else 0
 
 
 def chaos_smoke() -> int:
@@ -137,34 +98,17 @@ def chaos_smoke() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
-        description="CI gates for the deterministic fault-injection layer.",
-    )
-    parser.add_argument(
-        "--check-inert",
-        action="store_true",
-        help="disabled fault configs must reproduce the committed smoke digest",
+        description="CI gate for the deterministic fault-injection layer.",
     )
     parser.add_argument(
         "--chaos-smoke",
         action="store_true",
         help="one seeded faulty run with counter/conservation assertions",
     )
-    parser.add_argument(
-        "--expect-file",
-        default="SMOKE_digest.json",
-        metavar="PATH",
-        help="committed digest file for --check-inert (default: "
-        "SMOKE_digest.json)",
-    )
     args = parser.parse_args(argv)
-    if not (args.check_inert or args.chaos_smoke):
-        parser.error("nothing to do: pass --check-inert and/or --chaos-smoke")
-    exit_code = 0
-    if args.check_inert:
-        exit_code |= check_inert(args.expect_file)
-    if args.chaos_smoke:
-        exit_code |= chaos_smoke()
-    return exit_code
+    if not args.chaos_smoke:
+        parser.error("nothing to do: pass --chaos-smoke")
+    return chaos_smoke()
 
 
 if __name__ == "__main__":

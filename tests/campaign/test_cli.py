@@ -5,7 +5,9 @@ the CI campaign-smoke job); here we cover the CLI's failure modes and
 the client's endpoint plumbing, which need no live server.
 """
 
+import asyncio
 import json
+import threading
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.campaign.client import (
     request,
 )
 from repro.campaign.journal import CampaignJournal
+from repro.campaign.server import CampaignServer
+from repro.stats.collectors import RunStats
+from repro.stats.report import RunResult
 
 
 class TestParseEndpoint:
@@ -94,3 +99,60 @@ class TestCliErrors:
     def test_jobs_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["--journal-dir", str(tmp_path), "serve", "--jobs", "0"])
+
+
+def _fake_execute(point):
+    result = RunResult(
+        workload=point.workload, config_label="test", cycles=1000, stats=RunStats()
+    )
+    return result, 0.001
+
+
+@pytest.fixture
+def live_journal(tmp_path):
+    """A campaign server with a fake executor on a background event loop;
+    yields its journal dir for endpoint discovery."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    async def start():
+        server = CampaignServer(
+            cache_dir=str(tmp_path / "cache"),
+            journal_dir=str(tmp_path / "journal"),
+            execute_fn=_fake_execute,
+        )
+        await server.start()
+        return server
+
+    server = asyncio.run_coroutine_threadsafe(start(), loop).result(timeout=10)
+    try:
+        yield str(tmp_path / "journal")
+    finally:
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        loop.close()
+
+
+class TestDigestGate:
+    def test_exit_code_is_the_digest_verdict(self, live_journal, tmp_path, capsys):
+        campaign = tmp_path / "c.json"
+        campaign.write_text(json.dumps({"grid": {"workloads": ["gups"]}}))
+        digests = tmp_path / "digests.json"
+        digests.write_text(json.dumps({"other": "0" * 64}))
+
+        def submit(key):
+            return main(
+                ["--journal-dir", live_journal, "submit", str(campaign),
+                 "--expect-digest-file", str(digests), "--expect-digest-key", key]
+            )
+
+        assert submit("quick") == 2
+        out = capsys.readouterr()
+        assert "no key 'quick'" in out.err
+        served = json.loads(out.out.strip().splitlines()[-1])["digest"]
+        assert submit("other") == 1
+        digests.write_text(json.dumps({"quick": served}))
+        assert submit("quick") == 0

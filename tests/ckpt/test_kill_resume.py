@@ -1,54 +1,41 @@
 """Kill-and-resume equivalence against the committed digest gate.
 
-Each case runs the quick smoke grid with a checkpoint hook that
-hard-kills the child process (``os._exit``) the instant its boundary
-snapshot is published, resumes every snapshot in a fresh interpreter,
-and requires the resumed grid digest to equal the committed
+Each case runs the digest gate's ``kill_resume`` cell for the quick
+smoke grid: every point is hard-killed (``os._exit``) the instant its
+boundary snapshot is published, every snapshot resumes in a fresh
+interpreter, and the resumed grid digest must equal the committed
 ``SMOKE_digest.json`` entry — the digest of an uninterrupted,
-never-checkpointed single-engine sweep.  Swept across shard counts
-{1, 2} x both shard drive modes x two topology-zoo shapes.
+never-checkpointed single-engine sweep.  Swept across every drive mode
+x two topology-zoo shapes.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench.smoke import _grid_key, results_digest, smoke_points
+from repro.bench.smoke import results_digest
 from repro.ckpt.smoke import kill_and_resume_point
+from repro.gate import Cell, cell_runs, expect_digest
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-COMMITTED = json.loads((REPO_ROOT / "SMOKE_digest.json").read_text())
+DIGEST_FILE = Path(__file__).resolve().parents[2] / "SMOKE_digest.json"
 
-#: (n_shards, parallel) — 1 shard is the single-engine front end; 2
-#: shards exercise both coordinator drive modes
+#: drive modes — single is the single-engine front end; the 2-shard
+#: modes exercise both coordinator drive modes and adaptive lookahead
 EXECUTION_MODES = [
-    pytest.param(1, False, id="single-engine"),
-    pytest.param(2, False, id="2-shard-sequential"),
-    pytest.param(2, True, id="2-shard-parallel"),
+    pytest.param("single", id="single-engine"),
+    pytest.param("seq", id="2-shard-sequential"),
+    pytest.param("par", id="2-shard-parallel"),
+    pytest.param("adaptive", id="2-shard-adaptive"),
 ]
 
 
 @pytest.mark.parametrize("topology", ["mesh", "star"])
-@pytest.mark.parametrize("n_shards,parallel", EXECUTION_MODES)
-def test_killed_grid_resumes_to_the_committed_digest(
-    tmp_path, topology, n_shards, parallel
-):
-    results = []
-    for workload, variant in smoke_points(quick=True):
-        results.append(
-            kill_and_resume_point(
-                workload,
-                variant,
-                snapshot_dir=tmp_path,
-                topology=topology,
-                n_shards=n_shards,
-                parallel=parallel,
-            )
-        )
-    assert results_digest(results) == COMMITTED[_grid_key(True, topology)], (
-        f"{topology}/{n_shards}-shard{'-parallel' if parallel else ''}: "
-        "killed-and-resumed grid diverged from the uninterrupted digest"
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+def test_killed_grid_resumes_to_the_committed_digest(tmp_path, topology, mode):
+    cell = Cell("quick", topology, mode, "kill_resume")
+    [(_, payloads)] = cell_runs(cell, n_shards=2, snapshot_dir=tmp_path)
+    assert expect_digest(DIGEST_FILE, cell.key, results_digest(payloads)) == 0, (
+        f"{cell}: killed-and-resumed grid diverged from the uninterrupted digest"
     )
 
 
