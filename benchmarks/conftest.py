@@ -9,38 +9,31 @@ Scale control: set ``REPRO_SCALE=quick`` for a fast six-workload pass,
 ``standard`` (default) for all 15 workloads at the small experiment
 scale, or ``full`` for the large scale.
 
-Runner control: ``REPRO_JOBS=N`` fans independent simulation points out
-over N worker processes, and ``REPRO_CACHE_DIR=path`` enables the
-persistent result cache so repeat benchmark sessions skip finished
-points entirely.
+Runner control (:meth:`~repro.experiments.runner.RunContext.from_env`):
+``REPRO_JOBS=N`` fans independent simulation points out over N worker
+processes, ``REPRO_CACHE_DIR=path`` enables the persistent result cache
+so repeat benchmark sessions skip finished points entirely, and
+``REPRO_SHARDS`` / ``REPRO_WINDOW`` / ``REPRO_ADAPTIVE_WINDOW`` shard
+each point.
 """
 
-import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import runner
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentScale, RunContext
 
 _RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 _TABLES = []
 
 
-def pytest_configure(config):
-    jobs = os.environ.get("REPRO_JOBS")
-    if jobs:
-        runner.set_default_jobs(int(jobs))
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        runner.set_cache_dir(cache_dir)
-
-
 @pytest.fixture(scope="session")
 def exp() -> ExperimentScale:
-    """The experiment scale for this benchmark session."""
-    return ExperimentScale.from_env()
+    """The experiment scale and run context for this benchmark session."""
+    return replace(ExperimentScale.from_env(), context=RunContext.from_env())
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ import json
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.campaign.journal import CampaignJournal
@@ -48,7 +49,7 @@ from repro.campaign.spec import (
     point_from_descriptor,
 )
 from repro.experiments.cache import ResultCache, point_descriptor
-from repro.experiments.runner import ExperimentPoint, execute_point
+from repro.experiments.runner import ExperimentPoint, RunContext, execute_point
 from repro.obs import CounterSet
 
 #: protocol version stamped on every response/event line
@@ -129,7 +130,9 @@ class CampaignServer:
         self._point_tasks: Set[asyncio.Task] = set()
         self._owns_executor = executor is None and execute_fn is None
         self._executor = executor
-        self._execute = execute_fn or execute_point
+        # points run plainly: no sharding, artifacts or checkpoints, and
+        # nothing read from the server's environment
+        self._execute = execute_fn or partial(execute_point, ctx=RunContext())
 
     # -- lifecycle -----------------------------------------------------------
 

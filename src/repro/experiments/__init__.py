@@ -6,7 +6,7 @@ markdown report generator (:mod:`repro.experiments.report`).  Run any of
 them from the command line with ``python -m repro.experiments``.
 """
 
-from repro.experiments.runner import run_one, run_pair, ExperimentScale
+from repro.experiments.runner import ExperimentScale, RunContext, run_one, run_pair
 from repro.experiments import ablations, extensions, figures
 from repro.experiments.report import generate_report
 
@@ -14,6 +14,7 @@ __all__ = [
     "run_one",
     "run_pair",
     "ExperimentScale",
+    "RunContext",
     "figures",
     "ablations",
     "extensions",

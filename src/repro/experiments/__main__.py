@@ -12,20 +12,30 @@ Usage::
 Independent simulation points fan out over ``--jobs`` worker processes,
 and finished results persist in a content-addressed disk cache (default
 ``$REPRO_CACHE_DIR`` or ``.repro_cache``; disable with ``--no-cache``),
-so re-generating figures after the first pass is nearly free.
+so re-generating figures after the first pass is nearly free.  The flags,
+layered over the ``REPRO_*`` environment defaults
+(:meth:`~repro.experiments.runner.RunContext.from_env`), build the one
+run context every point runs under.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict
 
 from repro.experiments import ablations, chaos, collective, extensions, figures, runner
-from repro.experiments.cache import default_cache_dir
+from repro.experiments.cache import DEFAULT_CACHE_DIR
 from repro.experiments.report import generate_report
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import (
+    CheckpointOptions,
+    ExperimentScale,
+    ObservabilityOptions,
+    RunContext,
+    ShardingOptions,
+)
 from repro.workloads.base import Scale
 
 DRIVERS: Dict[str, Callable] = {
@@ -111,7 +121,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", "1")),
         help="worker processes for independent simulation points "
         "(default: $REPRO_JOBS or 1)",
     )
@@ -136,9 +145,6 @@ def main(argv=None) -> int:
     shard_group.add_argument(
         "--shards",
         type=int,
-        default=int(os.environ["REPRO_SHARDS"])
-        if os.environ.get("REPRO_SHARDS")
-        else None,
         metavar="N",
         help="simulate each point as N cluster shards in worker processes "
         "(must divide the config's cluster count; default: $REPRO_SHARDS)",
@@ -146,12 +152,9 @@ def main(argv=None) -> int:
     shard_group.add_argument(
         "--window",
         type=int,
-        default=int(os.environ["REPRO_WINDOW"])
-        if os.environ.get("REPRO_WINDOW")
-        else None,
         metavar="CYCLES",
-        help="lookahead window size in cycles (default: the inter-cluster "
-        "link latency, the maximum safe value)",
+        help="lookahead window size in cycles (default: $REPRO_WINDOW, else "
+        "the inter-cluster link latency, the maximum safe value)",
     )
     shard_group.add_argument(
         "--sequential-shards",
@@ -162,8 +165,6 @@ def main(argv=None) -> int:
     shard_group.add_argument(
         "--adaptive-window",
         action="store_true",
-        default=os.environ.get("REPRO_ADAPTIVE_WINDOW", "").lower()
-        in ("1", "true", "yes"),
         help="derive each shard's lookahead window from replicated "
         "simulation state instead of a fixed size (byte-identical "
         "results, fewer windows on sparse traffic; overrides --window; "
@@ -307,69 +308,16 @@ def main(argv=None) -> int:
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         parser.error("--checkpoint-every must be >= 1")
 
-    if (
-        args.fault_ber is not None
-        or args.fault_drop is not None
-        or args.fault_flaps is not None
-        or args.fault_seed is not None
-    ):
-        from repro.faults.config import FlapWindow
-
-        defaults = chaos.ChaosOptions()
-        try:
-            bers = (
-                tuple(float(p) for p in args.fault_ber.split(","))
-                if args.fault_ber is not None
-                else defaults.bers
-            )
-            flaps = defaults.flaps
-            if args.fault_flaps is not None:
-                windows = []
-                for spec in args.fault_flaps.split(","):
-                    start, end, factor = spec.split(":")
-                    windows.append(
-                        FlapWindow(int(start), int(end), float(factor))
-                    )
-                flaps = tuple(windows)
-        except ValueError as exc:
-            parser.error(f"bad fault sweep spec: {exc}")
-        chaos.set_chaos_options(
-            chaos.ChaosOptions(
-                bers=bers,
-                drop_rate=args.fault_drop
-                if args.fault_drop is not None
-                else defaults.drop_rate,
-                flaps=flaps,
-                seed=args.fault_seed
-                if args.fault_seed is not None
-                else defaults.seed,
-            )
-        )
-
-    if args.topology is not None or args.bw_class:
-        overrides = {}
-        if args.topology is not None:
-            overrides["inter_topology"] = args.topology
-        if args.bw_class:
-            bw = {}
-            for spec in args.bw_class:
-                cls, sep, value = spec.partition("=")
-                if not sep or not cls:
-                    parser.error(f"--bw-class wants CLASS=BW, got {spec!r}")
-                if cls in bw:
-                    parser.error(
-                        f"duplicate --bw-class for class {cls!r} "
-                        f"(already set to {bw[cls]:g})"
-                    )
-                try:
-                    bw[cls] = float(value)
-                except ValueError:
-                    parser.error(f"bad bandwidth in --bw-class {spec!r}")
-            overrides["link_bw_overrides"] = tuple(sorted(bw.items()))
-        try:
-            runner.set_system_overrides(**overrides)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        chaos_options = _chaos_options(args)
+    except ValueError as exc:
+        parser.error(f"bad fault sweep spec: {exc}")
+    overrides = _system_overrides(parser, args)
+    try:
+        ctx = _run_context(args, overrides)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if overrides:
         print(
             "topology overrides: "
             + ", ".join(f"{k}={v}" for k, v in sorted(overrides.items()))
@@ -381,53 +329,26 @@ def main(argv=None) -> int:
             print(f"  {name}")
         return 0
 
-    runner.set_default_jobs(args.jobs)
-    runner.set_cache_dir(
-        None if args.no_cache else (args.cache_dir or default_cache_dir())
-    )
-    obs_options = runner.ObservabilityOptions(
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        metrics_interval=args.metrics_interval,
-        profile=args.profile,
-        out_dir=args.obs_dir,
-    )
-    if obs_options.active:
-        runner.set_observability(obs_options)
+    if ctx.observability is not None:
         print(f"observability artifacts -> {args.obs_dir}/ (cache bypassed)")
-    if (
-        args.shards is not None
-        or args.window is not None
-        or args.adaptive_window
-    ):
-        runner.set_sharding(
-            runner.ShardingOptions(
-                n_shards=args.shards or 1,
-                window=args.window,
-                parallel=False if args.sequential_shards else None,
-                adaptive=args.adaptive_window,
-            )
-        )
-        mode = "sequential" if args.sequential_shards else "process-parallel"
-        window = "adaptive" if args.adaptive_window else (args.window or "max")
+    if ctx.sharding is not None:
+        sharding = ctx.sharding
+        mode = "sequential" if sharding.parallel is False else "process-parallel"
+        window = "adaptive" if sharding.adaptive else (sharding.window or "max")
         print(
-            f"cluster sharding: {args.shards or 1} shard(s), "
+            f"cluster sharding: {sharding.n_shards} shard(s), "
             f"window={window}, {mode}"
         )
-    if args.checkpoint_every is not None or args.resume_from is not None:
-        runner.set_checkpointing(
-            runner.CheckpointOptions(
-                directory=args.checkpoint_dir,
-                every=args.checkpoint_every or 1,
-                resume_from=args.resume_from,
-            )
-        )
+    if ctx.checkpoint is not None:
+        ckpt = ctx.checkpoint
         print(
-            f"checkpointing: every {args.checkpoint_every or 1} kernel(s) "
-            f"-> {args.checkpoint_dir}/"
-            + (f", resuming from {args.resume_from}" if args.resume_from else "")
+            f"checkpointing: every {ckpt.every} kernel(s) -> {ckpt.directory}/"
+            + (f", resuming from {ckpt.resume_from}" if ckpt.resume_from else "")
         )
-    exp = SCALES[args.scale]()
+    exp = replace(SCALES[args.scale](), context=ctx)
+    drivers = dict(
+        DRIVERS, chaos=partial(chaos.chaos_ber_sweep, options=chaos_options)
+    )
     targets = list(DRIVERS) + ["tables"] if args.targets == ["all"] else args.targets
     for target in targets:
         if target == "tables":
@@ -440,7 +361,7 @@ def main(argv=None) -> int:
             generate_report(exp, path=args.output)
             print(f"report written to {args.output}")
             continue
-        driver = DRIVERS.get(target)
+        driver = drivers.get(target)
         if driver is None:
             print(f"unknown target {target!r}; try 'list'", file=sys.stderr)
             return 2
@@ -452,6 +373,84 @@ def main(argv=None) -> int:
             print(f"  {line}")
     return 0
 
+
+def _chaos_options(args) -> chaos.ChaosOptions:
+    """The chaos sweep the ``--fault-*`` flags ask for (raises ValueError)."""
+    from repro.faults.config import FlapWindow
+
+    given: Dict[str, object] = {}
+    if args.fault_ber is not None:
+        given["bers"] = tuple(float(p) for p in args.fault_ber.split(","))
+    if args.fault_drop is not None:
+        given["drop_rate"] = args.fault_drop
+    if args.fault_flaps is not None:
+        windows = (spec.split(":") for spec in args.fault_flaps.split(","))
+        given["flaps"] = tuple(
+            FlapWindow(int(start), int(end), float(factor))
+            for start, end, factor in windows
+        )
+    if args.fault_seed is not None:
+        given["seed"] = args.fault_seed
+    return chaos.ChaosOptions(**given)
+
+
+def _system_overrides(parser, args) -> Dict[str, object]:
+    """``SystemConfig`` overrides from ``--topology`` / ``--bw-class``."""
+    overrides: Dict[str, object] = {}
+    if args.topology is not None:
+        overrides["inter_topology"] = args.topology
+    if args.bw_class:
+        bw: Dict[str, float] = {}
+        for spec in args.bw_class:
+            cls, sep, value = spec.partition("=")
+            if not sep or not cls:
+                parser.error(f"--bw-class wants CLASS=BW, got {spec!r}")
+            if cls in bw:
+                parser.error(
+                    f"duplicate --bw-class for class {cls!r} "
+                    f"(already set to {bw[cls]:g})"
+                )
+            try:
+                bw[cls] = float(value)
+            except ValueError:
+                parser.error(f"bad bandwidth in --bw-class {spec!r}")
+        overrides["link_bw_overrides"] = tuple(sorted(bw.items()))
+    return overrides
+
+
+def _run_context(args, overrides: Dict[str, object]) -> RunContext:
+    """The flags layered over :meth:`RunContext.from_env` (raises
+    ValueError for overrides the config rejects)."""
+    env = RunContext.from_env()
+    env_shards = env.sharding or ShardingOptions()
+    checkpoint = None
+    if args.checkpoint_every is not None or args.resume_from is not None:
+        checkpoint = CheckpointOptions(
+            directory=args.checkpoint_dir,
+            every=args.checkpoint_every or 1,
+            resume_from=args.resume_from,
+        )
+    return RunContext(
+        jobs=env.jobs if args.jobs is None else args.jobs,
+        cache_dir=None
+        if args.no_cache
+        else (args.cache_dir or env.cache_dir or DEFAULT_CACHE_DIR),
+        sharding=ShardingOptions(
+            n_shards=env_shards.n_shards if args.shards is None else args.shards,
+            window=env_shards.window if args.window is None else args.window,
+            parallel=False if args.sequential_shards else None,
+            adaptive=args.adaptive_window or env_shards.adaptive,
+        ),
+        observability=ObservabilityOptions(
+            trace=args.trace,
+            trace_sample=args.trace_sample,
+            metrics_interval=args.metrics_interval,
+            profile=args.profile,
+            out_dir=args.obs_dir,
+        ),
+        checkpoint=checkpoint,
+        system_overrides=overrides,
+    )
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,22 +13,22 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.stats.report import geometric_mean
 
 
 def _speedups(exp: ExperimentScale, variant: NetCrafterConfig) -> List[float]:
     values = []
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        out = run_one(name, netcrafter=variant, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        out = exp.run(name, netcrafter=variant)
         values.append(out.speedup_over(base))
     return values
 
 
 def _prefetch_configs(exp: ExperimentScale, configs) -> None:
     """Batch the baseline plus every variant through the parallel runner."""
-    prefetch_variants(exp, [(None, None)] + [(None, cfg) for cfg in configs])
+    exp.prefetch([(None, None)] + [(None, cfg) for cfg in configs])
 
 
 def ablate_scheduler(exp: Optional[ExperimentScale] = None) -> FigureResult:
@@ -102,12 +102,12 @@ def ablate_search_depth(
         )
         for depth in depths
     ]
-    prefetch_variants(exp, [(None, cfg) for cfg in depth_cfgs])
+    exp.prefetch([(None, cfg) for cfg in depth_cfgs])
     series: Dict[str, List[float]] = {}
     for depth, cfg in zip(depths, depth_cfgs):
         series[f"depth_{depth}"] = []
         for name in exp.workload_names():
-            out = run_one(name, netcrafter=cfg, scale=exp.scale, seed=exp.seed)
+            out = exp.run(name, netcrafter=cfg)
             series[f"depth_{depth}"].append(out.stitch_rate())
     return FigureResult(
         "abl_search_depth",

@@ -14,7 +14,8 @@ every stale entry silently becomes a miss instead of poisoning figures.
 The cache directory defaults to ``$REPRO_CACHE_DIR`` or ``.repro_cache``
 under the current directory; the experiment CLI enables it by default
 (``--no-cache`` / ``--cache-dir`` override), while library callers opt in
-via :func:`repro.experiments.runner.set_cache_dir`.
+through the run context's ``cache_dir``
+(:class:`repro.experiments.runner.RunContext`).
 
 Beyond plain storage the cache directory doubles as the coordination
 point for *concurrent* clients sharing it (several ``run_many``
@@ -92,9 +93,13 @@ def fingerprint(point) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: where the experiment and campaign CLIs cache results by default
+DEFAULT_CACHE_DIR = ".repro_cache"
+
+
 def default_cache_dir() -> str:
     """``$REPRO_CACHE_DIR`` if set, else ``.repro_cache`` in the cwd."""
-    return os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
+    return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 class ResultCache:

@@ -23,27 +23,19 @@ from typing import Optional, Tuple
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.faults.config import FaultConfig, FlapWindow
 from repro.stats.collectors import LatencyStat
 
 
 @dataclass(frozen=True)
 class ChaosOptions:
-    """Sweep shape, settable from the CLI (``--fault-*`` flags)."""
+    """Sweep shape, the CLI's ``--fault-*`` flags for the ``chaos`` target."""
 
     bers: Tuple[float, ...] = (0.0, 2e-5, 1e-4, 5e-4)
     drop_rate: float = 0.0
     flaps: Tuple[FlapWindow, ...] = ()
     seed: int = 1
-
-
-_chaos_options = ChaosOptions()
-
-
-def set_chaos_options(options: ChaosOptions) -> None:
-    global _chaos_options
-    _chaos_options = options
 
 
 def _fault_system(ber: float, opts: ChaosOptions) -> SystemConfig:
@@ -57,20 +49,21 @@ def _fault_system(ber: float, opts: ChaosOptions) -> SystemConfig:
     )
 
 
-def chaos_ber_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def chaos_ber_sweep(
+    exp: Optional[ExperimentScale] = None, options: ChaosOptions = ChaosOptions()
+) -> FigureResult:
     """BER sweep x {baseline, NetCrafter} on the first workload of ``exp``."""
     exp = exp or ExperimentScale.quick()
-    opts = _chaos_options
     workload = exp.workload_names()[0]
-    systems = [_fault_system(ber, opts) for ber in opts.bers]
+    systems = [_fault_system(ber, options) for ber in options.bers]
     variants = [
         (system, netcrafter)
         for system in systems
         for netcrafter in (NetCrafterConfig.baseline(), NetCrafterConfig.full())
     ]
-    prefetch_variants(exp, variants, workloads=[workload])
+    exp.prefetch(variants, workloads=[workload])
 
-    labels = [f"ber={ber:g}" for ber in opts.bers]
+    labels = [f"ber={ber:g}" for ber in options.bers]
     series = {
         "base_cycles": [],
         "nc_cycles": [],
@@ -82,20 +75,8 @@ def chaos_ber_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult:
         "nc_recovery_p50": [],
     }
     for system in systems:
-        base = run_one(
-            workload,
-            system=system,
-            netcrafter=NetCrafterConfig.baseline(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        full = run_one(
-            workload,
-            system=system,
-            netcrafter=NetCrafterConfig.full(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
+        base = exp.run(workload, system=system, netcrafter=NetCrafterConfig.baseline())
+        full = exp.run(workload, system=system, netcrafter=NetCrafterConfig.full())
         faults = full.stats.faults
         series["base_cycles"].append(float(base.cycles))
         series["nc_cycles"].append(float(full.cycles))
@@ -122,7 +103,8 @@ def chaos_ber_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult:
     result = FigureResult(
         "chaos",
         f"NetCrafter under fault injection ({workload}, "
-        f"drop={opts.drop_rate:g}, flaps={len(opts.flaps)}, seed={opts.seed})",
+        f"drop={options.drop_rate:g}, flaps={len(options.flaps)}, "
+        f"seed={options.seed})",
         labels,
         series,
     )

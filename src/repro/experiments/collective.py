@@ -17,12 +17,13 @@ answer is the ``nc_speedup`` series.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.stats.report import RunResult, geometric_mean
 from repro.workloads.registry import collective_workload_names
 
@@ -74,12 +75,9 @@ def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
     """
     exp = exp or ExperimentScale.standard()
     workloads = collective_workload_names()
-    exp = ExperimentScale(
-        scale=exp.scale, workloads=tuple(workloads), seed=exp.seed
-    )
+    exp = replace(exp, workloads=tuple(workloads))
     nc = NetCrafterConfig.full()
-    prefetch_variants(
-        exp,
+    exp.prefetch(
         [
             variant
             for fabric in COLLECTIVE_TOPOLOGIES
@@ -101,10 +99,8 @@ def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
     for fabric in COLLECTIVE_TOPOLOGIES:
         system = collective_system(fabric)
         for name in workloads:
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
-            )
+            base = exp.run(name, system=system)
+            crafted = exp.run(name, system=system, netcrafter=nc)
             label = f"{name}@{fabric}"
             labels.append(label)
             series["base_cycles"].append(float(base.cycles))

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.gpu.system import MultiGpuSystem
 from repro.stats.report import geometric_mean
 from repro.vm.alternative_placement import (
@@ -47,12 +47,12 @@ def ext_hw_coherence(exp: Optional[ExperimentScale] = None) -> FigureResult:
         "stitch_rate_hw": [],
     }
     labels = exp.workload_names()
-    prefetch_variants(exp, [(sw, None), (sw, nc), (hw, None), (hw, nc)])
+    exp.prefetch([(sw, None), (sw, nc), (hw, None), (hw, nc)])
     for name in labels:
-        sw_base = run_one(name, system=sw, scale=exp.scale, seed=exp.seed)
-        sw_nc = run_one(name, system=sw, netcrafter=nc, scale=exp.scale, seed=exp.seed)
-        hw_base = run_one(name, system=hw, scale=exp.scale, seed=exp.seed)
-        hw_nc = run_one(name, system=hw, netcrafter=nc, scale=exp.scale, seed=exp.seed)
+        sw_base = exp.run(name, system=sw)
+        sw_nc = exp.run(name, system=sw, netcrafter=nc)
+        hw_base = exp.run(name, system=hw)
+        hw_nc = exp.run(name, system=hw, netcrafter=nc)
         series["nc_over_sw"].append(sw_nc.speedup_over(sw_base))
         series["nc_over_hw"].append(hw_nc.speedup_over(hw_base))
         series["stitch_rate_sw"].append(sw_nc.stitch_rate())
@@ -91,8 +91,7 @@ def ext_scaling(exp: Optional[ExperimentScale] = None) -> FigureResult:
     exp = exp or ExperimentScale.standard()
     nc = NetCrafterConfig.full()
     labels, ideal_series, crafted_series = [], [], []
-    prefetch_variants(
-        exp,
+    exp.prefetch(
         [
             variant
             for clusters, gpus, fabric in SCALING_TOPOLOGIES
@@ -114,16 +113,9 @@ def ext_scaling(exp: Optional[ExperimentScale] = None) -> FigureResult:
         )
         ideal_speedups, crafted_speedups = [], []
         for name in exp.workload_names():
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            ideal = run_one(
-                name,
-                system=SystemConfig.ideal(system),
-                scale=exp.scale,
-                seed=exp.seed,
-            )
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
-            )
+            base = exp.run(name, system=system)
+            ideal = exp.run(name, system=SystemConfig.ideal(system))
+            crafted = exp.run(name, system=system, netcrafter=nc)
             ideal_speedups.append(ideal.speedup_over(base))
             crafted_speedups.append(crafted.speedup_over(base))
         labels.append(f"{clusters}x{gpus}_{fabric}")
@@ -164,8 +156,7 @@ def ext_topology(exp: Optional[ExperimentScale] = None) -> FigureResult:
     """
     exp = exp or ExperimentScale.standard()
     nc = NetCrafterConfig.full()
-    prefetch_variants(
-        exp,
+    exp.prefetch(
         [
             variant
             for fabric in TOPOLOGY_ZOO
@@ -177,16 +168,14 @@ def ext_topology(exp: Optional[ExperimentScale] = None) -> FigureResult:
     shape_cost_series: List[float] = []
     mesh_cycles: Dict[str, int] = {}
     for name in exp.workload_names():
-        run = run_one(name, system=_zoo_system("mesh"), scale=exp.scale, seed=exp.seed)
+        run = exp.run(name, system=_zoo_system("mesh"))
         mesh_cycles[name] = run.cycles
     for fabric in TOPOLOGY_ZOO:
         system = _zoo_system(fabric)
         crafted_speedups, shape_costs = [], []
         for name in exp.workload_names():
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
-            )
+            base = exp.run(name, system=system)
+            crafted = exp.run(name, system=system, netcrafter=nc)
             crafted_speedups.append(crafted.speedup_over(base))
             shape_costs.append(base.cycles / mesh_cycles[name])
         labels.append(fabric)
@@ -214,10 +203,10 @@ def ext_energy(exp: Optional[ExperimentScale] = None) -> FigureResult:
     nc = NetCrafterConfig.full()
     labels: List[str] = []
     series: Dict[str, List[float]] = {"network_energy": [], "total_energy": []}
-    prefetch_variants(exp, [(None, None), (None, nc)])
+    exp.prefetch([(None, None), (None, nc)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        out = run_one(name, netcrafter=nc, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        out = exp.run(name, netcrafter=nc)
         if base.energy.network_pj <= 0:
             continue
         labels.append(name)
@@ -259,7 +248,7 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
 
     # only the LASP runs flow through the shared runner; the alternative
     # placements mutate the trace, so they are simulated directly above
-    prefetch_variants(exp, [(system, None)])
+    exp.prefetch([(system, None)])
     for name in exp.workload_names():
         generator = get_workload(name)
         lasp_trace = generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed)
@@ -270,7 +259,7 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
             system.n_gpus,
         )
         series["local_interleave"].append(access_locality(interleaved)["local"])
-        lasp_run = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
+        lasp_run = exp.run(name, system=system)
         inter_run = run_trace(interleaved, exp.seed)
         single = single_gpu_placement(
             generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed),
@@ -294,10 +283,10 @@ def ext_coherence_traffic(exp: Optional[ExperimentScale] = None) -> FigureResult
     exp = exp or ExperimentScale.standard()
     hw = SystemConfig.default().with_overrides(coherence="hardware")
     labels, inv_per_kop, base_cost = [], [], []
-    prefetch_variants(exp, [(None, None), (hw, None)])
+    exp.prefetch([(None, None), (hw, None)])
     for name in exp.workload_names():
-        sw_base = run_one(name, scale=exp.scale, seed=exp.seed)
-        hw_base = run_one(name, system=hw, scale=exp.scale, seed=exp.seed)
+        sw_base = exp.run(name)
+        hw_base = exp.run(name, system=hw)
         labels.append(name)
         ops = max(1, hw_base.stats.mem_ops)
         inv_per_kop.append(1000.0 * hw_base.stats.coherence_inv_sent / ops)

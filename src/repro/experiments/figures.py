@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig, PriorityMode
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.network.packet import PacketType, packet_census_row
 from repro.stats.report import geometric_mean
 from repro.workloads.registry import workload_table
@@ -83,12 +83,6 @@ def _exp(exp: Optional[ExperimentScale]) -> ExperimentScale:
     return exp or ExperimentScale.standard()
 
 
-#: declare a driver's full point set up front and batch it through the
-#: runner (parallel fan-out + caches); the driver's subsequent ``run_one``
-#: calls are then pure cache lookups
-_prefetch = prefetch_variants
-
-
 # ---------------------------------------------------------------------------
 # Motivation figures (Section 3)
 # ---------------------------------------------------------------------------
@@ -98,13 +92,11 @@ def fig3_ideal_speedup(exp: Optional[ExperimentScale] = None) -> FigureResult:
     """Figure 3: uniform-high-bandwidth 'ideal' vs the non-uniform baseline."""
     exp = _exp(exp)
     labels = exp.workload_names()
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
+    exp.prefetch([(None, None), (SystemConfig.ideal(), None)])
     speedups = []
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        ideal = run_one(
-            name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed
-        )
+        base = exp.run(name)
+        ideal = exp.run(name, system=SystemConfig.ideal())
         speedups.append(ideal.speedup_over(base))
     result = FigureResult(
         "fig3",
@@ -120,11 +112,11 @@ def fig4_network_utilization(exp: Optional[ExperimentScale] = None) -> FigureRes
     """Figure 4: inter-cluster network utilization, non-uniform vs ideal."""
     exp = _exp(exp)
     labels = exp.workload_names()
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
+    exp.prefetch([(None, None), (SystemConfig.ideal(), None)])
     non_uniform, ideal = [], []
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        up = run_one(name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        up = exp.run(name, system=SystemConfig.ideal())
         non_uniform.append(base.inter_utilization())
         ideal.append(up.inter_utilization())
     return FigureResult(
@@ -140,10 +132,10 @@ def fig5_remote_latency(exp: Optional[ExperimentScale] = None) -> FigureResult:
     """Figure 5: inter-cluster memory latency, ideal normalized to baseline."""
     exp = _exp(exp)
     labels, base_lat, ideal_norm = [], [], []
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
+    exp.prefetch([(None, None), (SystemConfig.ideal(), None)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        up = run_one(name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        up = exp.run(name, system=SystemConfig.ideal())
         if base.mean_inter_read_latency() <= 0:
             continue  # workload issues no inter-cluster reads (e.g. BS)
         labels.append(name)
@@ -165,9 +157,9 @@ def fig6_flit_occupancy(exp: Optional[ExperimentScale] = None) -> FigureResult:
     labels = exp.workload_names()
     pad25, pad75, either = [], [], []
     flit_size = SystemConfig.default().flit_size
-    _prefetch(exp, [(None, None)])
+    exp.prefetch([(None, None)])
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
         dist = base.padded_fraction_distribution(flit_size)
         p25 = dist.get(0.25, 0.0)
         p75 = dist.get(0.75, 0.0)
@@ -193,9 +185,9 @@ def fig7_cacheline_utilization(exp: Optional[ExperimentScale] = None) -> FigureR
     """Figure 7: inter-cluster reads by bytes the wavefront needs."""
     exp = _exp(exp)
     labels, buckets = [], {16: [], 32: [], 48: [], 64: []}
-    _prefetch(exp, [(None, None)])
+    exp.prefetch([(None, None)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
         total = sum(base.stats.read_req_bytes_hist.values())
         if total == 0:
             continue
@@ -219,11 +211,11 @@ def fig8_ptw_priority(exp: Optional[ExperimentScale] = None) -> FigureResult:
     labels, ptw_prio, data_prio = [], [], []
     ptw_cfg = NetCrafterConfig(priority_mode=PriorityMode.PTW)
     data_cfg = NetCrafterConfig(priority_mode=PriorityMode.DATA_MATCHED)
-    _prefetch(exp, [(None, None), (None, ptw_cfg), (None, data_cfg)])
+    exp.prefetch([(None, None), (None, ptw_cfg), (None, data_cfg)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        ptw = run_one(name, netcrafter=ptw_cfg, scale=exp.scale, seed=exp.seed)
-        data = run_one(name, netcrafter=data_cfg, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        ptw = exp.run(name, netcrafter=ptw_cfg)
+        data = exp.run(name, netcrafter=data_cfg)
         labels.append(name)
         ptw_prio.append(ptw.speedup_over(base))
         data_prio.append(data.speedup_over(base))
@@ -240,9 +232,9 @@ def fig9_ptw_fraction(exp: Optional[ExperimentScale] = None) -> FigureResult:
     """Figure 9: PTW-related share of inter-cluster traffic."""
     exp = _exp(exp)
     labels, ptw_frac, data_frac = [], [], []
-    _prefetch(exp, [(None, None)])
+    exp.prefetch([(None, None)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
         if base.ptw_bytes + base.data_bytes == 0:
             continue
         labels.append(name)
@@ -273,10 +265,10 @@ def fig12_stitch_rate(exp: Optional[ExperimentScale] = None) -> FigureResult:
     labels, no_pool, with_pool = [], [], []
     cfg_np = NetCrafterConfig.stitching_only()
     cfg_fp = NetCrafterConfig.stitching_with_selective_pooling(32)
-    _prefetch(exp, [(None, cfg_np), (None, cfg_fp)])
+    exp.prefetch([(None, cfg_np), (None, cfg_fp)])
     for name in exp.workload_names():
-        a = run_one(name, netcrafter=cfg_np, scale=exp.scale, seed=exp.seed)
-        b = run_one(name, netcrafter=cfg_fp, scale=exp.scale, seed=exp.seed)
+        a = exp.run(name, netcrafter=cfg_np)
+        b = exp.run(name, netcrafter=cfg_fp)
         labels.append(name)
         no_pool.append(a.stitch_rate())
         with_pool.append(b.stitch_rate())
@@ -307,22 +299,16 @@ def fig14_overall_speedup(exp: Optional[ExperimentScale] = None) -> FigureResult
     labels = exp.workload_names()
     series: Dict[str, List[float]] = {k: [] for k in FIG14_CONFIGS}
     series["sector_cache_16B"] = []
-    _prefetch(
-        exp,
+    exp.prefetch(
         [(None, None), (SystemConfig.sector_cache_baseline(), None)]
         + [(None, cfg) for cfg in FIG14_CONFIGS.values()],
     )
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
         for key, cfg in FIG14_CONFIGS.items():
-            out = run_one(name, netcrafter=cfg, scale=exp.scale, seed=exp.seed)
+            out = exp.run(name, netcrafter=cfg)
             series[key].append(out.speedup_over(base))
-        sector = run_one(
-            name,
-            system=SystemConfig.sector_cache_baseline(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
+        sector = exp.run(name, system=SystemConfig.sector_cache_baseline())
         series["sector_cache_16B"].append(sector.speedup_over(base))
     result = FigureResult(
         "fig14", "Overall speedup over the non-uniform baseline", labels, series
@@ -340,10 +326,10 @@ def fig15_netcrafter_latency(exp: Optional[ExperimentScale] = None) -> FigureRes
     exp = _exp(exp)
     labels, base_norm, crafted = [], [], []
     cfg = NetCrafterConfig.full(32)
-    _prefetch(exp, [(None, None), (None, cfg)])
+    exp.prefetch([(None, None), (None, cfg)])
     for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        out = run_one(name, netcrafter=cfg, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        out = exp.run(name, netcrafter=cfg)
         if base.mean_inter_read_latency() <= 0:
             continue
         labels.append(name)
@@ -366,11 +352,11 @@ def fig16_l1_mpki(exp: Optional[ExperimentScale] = None) -> FigureResult:
     baseline, trimming, sector = [], [], []
     trim_cfg = NetCrafterConfig.trimming_only()
     sector_sys = SystemConfig.sector_cache_baseline()
-    _prefetch(exp, [(None, None), (None, trim_cfg), (sector_sys, None)])
+    exp.prefetch([(None, None), (None, trim_cfg), (sector_sys, None)])
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        trim = run_one(name, netcrafter=trim_cfg, scale=exp.scale, seed=exp.seed)
-        sect = run_one(name, system=sector_sys, scale=exp.scale, seed=exp.seed)
+        base = exp.run(name)
+        trim = exp.run(name, netcrafter=trim_cfg)
+        sect = exp.run(name, system=sector_sys)
         baseline.append(base.stats.l1_mpki())
         trimming.append(trim.stats.l1_mpki())
         sector.append(sect.stats.l1_mpki())
@@ -389,8 +375,7 @@ def fig17_trim_granularity(exp: Optional[ExperimentScale] = None) -> FigureResul
     exp = _exp(exp)
     granularities = [4, 8, 16]
     trim_mpki, all_trim_mpki = [], []
-    _prefetch(
-        exp,
+    exp.prefetch(
         [
             variant
             for g in granularities
@@ -411,15 +396,10 @@ def fig17_trim_granularity(exp: Optional[ExperimentScale] = None) -> FigureResul
         trim_cfg = NetCrafterConfig.trimming_only().with_overrides(
             trim_sector_bytes=g, trim_threshold_bytes=g
         )
-        trim = run_one(
-            "gemm_large", system=sys_g, netcrafter=trim_cfg,
-            scale=exp.scale, seed=exp.seed,
-        )
-        all_trim = run_one(
+        trim = exp.run("gemm_large", system=sys_g, netcrafter=trim_cfg)
+        all_trim = exp.run(
             "gemm_large",
             system=SystemConfig.sector_cache_baseline(sector_bytes=g),
-            scale=exp.scale,
-            seed=exp.seed,
         )
         trim_mpki.append(trim.stats.l1_mpki())
         all_trim_mpki.append(all_trim.stats.l1_mpki())
@@ -444,22 +424,16 @@ def _pooling_sweep(
         if selective
         else NetCrafterConfig.stitching_with_pooling
     )
-    _prefetch(
-        exp,
+    exp.prefetch(
         [(None, None), (None, NetCrafterConfig.stitching_only())]
         + [(None, make(window)) for window in windows],
     )
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        st = run_one(
-            name, netcrafter=NetCrafterConfig.stitching_only(),
-            scale=exp.scale, seed=exp.seed,
-        )
+        base = exp.run(name)
+        st = exp.run(name, netcrafter=NetCrafterConfig.stitching_only())
         series["stitching"].append(st.speedup_over(base))
         for window in windows:
-            out = run_one(
-                name, netcrafter=make(window), scale=exp.scale, seed=exp.seed
-            )
+            out = exp.run(name, netcrafter=make(window))
             series[f"pool_{window}"].append(out.speedup_over(base))
     kind = "Selective Flit Pooling" if selective else "Flit Pooling"
     fig = "fig19" if selective else "fig18"
@@ -495,8 +469,7 @@ def fig20_byte_reduction(
     series: Dict[str, List[float]] = {"stitching": []}
     for window in windows:
         series[f"sfp_{window}"] = []
-    _prefetch(
-        exp,
+    exp.prefetch(
         [(None, None), (None, NetCrafterConfig.stitching_only())]
         + [
             (None, NetCrafterConfig.stitching_with_selective_pooling(window))
@@ -504,18 +477,13 @@ def fig20_byte_reduction(
         ],
     )
     for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        st = run_one(
-            name, netcrafter=NetCrafterConfig.stitching_only(),
-            scale=exp.scale, seed=exp.seed,
-        )
+        base = exp.run(name)
+        st = exp.run(name, netcrafter=NetCrafterConfig.stitching_only())
         series["stitching"].append(_byte_reduction(base, st))
         for window in windows:
-            out = run_one(
+            out = exp.run(
                 name,
                 netcrafter=NetCrafterConfig.stitching_with_selective_pooling(window),
-                scale=exp.scale,
-                seed=exp.seed,
             )
             series[f"sfp_{window}"].append(_byte_reduction(base, out))
     return FigureResult(
@@ -539,8 +507,7 @@ def fig21_flit_size(exp: Optional[ExperimentScale] = None) -> FigureResult:
     labels = exp.workload_names()
     series: Dict[str, List[float]] = {"flit_16B": [], "flit_8B": []}
     cfg = NetCrafterConfig.stitching_with_selective_pooling(32)
-    _prefetch(
-        exp,
+    exp.prefetch(
         [
             variant
             for flit_size in (16, 8)
@@ -553,10 +520,8 @@ def fig21_flit_size(exp: Optional[ExperimentScale] = None) -> FigureResult:
     for name in labels:
         for key, flit_size in (("flit_16B", 16), ("flit_8B", 8)):
             sys_f = SystemConfig.default().with_overrides(flit_size=flit_size)
-            base = run_one(name, system=sys_f, scale=exp.scale, seed=exp.seed)
-            out = run_one(
-                name, system=sys_f, netcrafter=cfg, scale=exp.scale, seed=exp.seed
-            )
+            base = exp.run(name, system=sys_f)
+            out = exp.run(name, system=sys_f, netcrafter=cfg)
             series[key].append(out.speedup_over(base))
     return FigureResult(
         "fig21",
@@ -584,8 +549,7 @@ def fig22_bandwidth_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult
     cfg = NetCrafterConfig.full(32)
     labels = [f"{int(intra)}:{int(inter)}" for intra, inter in FIG22_BANDWIDTHS]
     speedups: List[float] = []
-    _prefetch(
-        exp,
+    exp.prefetch(
         [
             variant
             for intra, inter in FIG22_BANDWIDTHS
@@ -611,10 +575,8 @@ def fig22_bandwidth_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult
         )
         per_workload = []
         for name in exp.workload_names():
-            base = run_one(name, system=sys_b, scale=exp.scale, seed=exp.seed)
-            out = run_one(
-                name, system=sys_b, netcrafter=cfg, scale=exp.scale, seed=exp.seed
-            )
+            base = exp.run(name, system=sys_b)
+            out = exp.run(name, system=sys_b, netcrafter=cfg)
             per_workload.append(out.speedup_over(base))
         speedups.append(geometric_mean(per_workload))
     return FigureResult(

@@ -14,6 +14,12 @@ Two layers sit on top of that in-process memo:
   (content-addressed by the full configuration) makes repeat figure
   regeneration nearly free across processes.
 
+How each point runs — worker count, cache directory, sharding,
+observability artifacts, checkpointing, fabric overrides — is one
+frozen, picklable :class:`RunContext` passed explicitly from the front
+end down to :func:`execute_point`, so pool workers see the caller's
+settings under every multiprocessing start method.
+
 Every lookup and execution is tallied in :data:`run_stats` so the CLI
 and benchmark harness can report per-point timing, cache effectiveness,
 and parallel speedup.
@@ -21,12 +27,13 @@ and parallel speedup.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
@@ -40,17 +47,261 @@ from repro.workloads.registry import all_workload_names, get_workload
 
 
 @dataclass(frozen=True)
+class ObservabilityOptions:
+    """What per-run observability artifacts the harness should produce.
+
+    Any enabled artifact forces the point to actually simulate once per
+    context (the disk cache is bypassed): a cached result has no trace
+    to give, and an instrumented run should not overwrite the pristine
+    cached timing entry either.
+    """
+
+    trace: bool = False
+    #: keep every Nth packet lifecycle (1 = all)
+    trace_sample: int = 1
+    #: metrics snapshot period in cycles; None disables the time-series
+    metrics_interval: Optional[int] = None
+    profile: bool = False
+    out_dir: str = "results/obs"
+
+    @property
+    def active(self) -> bool:
+        return self.trace or self.metrics_interval is not None or self.profile
+
+    def spec(self) -> ShardObsSpec:
+        """The picklable instrument recipe these options ask for."""
+        return ShardObsSpec(
+            trace=self.trace,
+            trace_sample=self.trace_sample,
+            metrics_interval=self.metrics_interval,
+            profile=self.profile,
+        )
+
+
+@dataclass(frozen=True)
+class CheckpointOptions:
+    """Kernel-boundary checkpointing for every simulation point of a run.
+
+    Each point's latest resumable state is published (atomically,
+    durably) to ``<directory>/<run-fingerprint>.ckpt`` — content-
+    addressed exactly like the result cache, so sweeps and single runs
+    share one checkpoint directory without collisions.  With
+    ``resume_from`` set, any point whose snapshot exists continues from
+    its last checkpointed kernel boundary instead of starting over; the
+    resumed result is byte-identical to an uninterrupted run
+    (:mod:`repro.ckpt`).  ``resume_from`` may be the checkpoint
+    directory (per-point snapshots are looked up by fingerprint) or one
+    specific snapshot file — the latter fails loudly with
+    :class:`~repro.ckpt.FingerprintMismatchError` if the point being
+    run does not match the snapshot's stamped configuration.
+    """
+
+    directory: str = "results/ckpt"
+    #: snapshot every N completed kernels (the final boundary always)
+    every: int = 1
+    resume_from: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ShardingOptions:
+    """How each simulation point is split across cluster shards.
+
+    Sharding is *intra-run* parallelism: one simulation is decomposed
+    into per-cluster shards advancing in conservative lookahead windows
+    (:class:`~repro.shard.coordinator.ShardedSystem`).  Results are
+    byte-identical to the single-engine run, so the result cache stays
+    shared between modes and the choice is purely about wall-clock.
+
+    Points the shard plan cannot serve (:meth:`ShardedSystem.supports
+    <repro.shard.coordinator.ShardedSystem.supports>`: a shard count not
+    dividing the clusters, or hardware coherence) fall back to the single
+    engine (identical results) rather than failing a whole figure sweep.
+    """
+
+    n_shards: int = 1
+    #: lookahead window in cycles; ``None`` means the maximum safe value
+    #: (the inter-cluster link latency), clamped per-point when smaller
+    window: Optional[int] = None
+    #: ``None`` = processes exactly when ``n_shards > 1``; ``False``
+    #: forces sequential-windowed mode (debugging, digest comparisons)
+    parallel: Optional[bool] = None
+    #: adaptive lookahead: stretch each shard's window from replicated
+    #: simulation state instead of the fixed size (byte-identical
+    #: results, so cache keys are unaffected); ``window`` is ignored
+    adaptive: bool = False
+
+    @property
+    def active(self) -> bool:
+        return self.n_shards > 1 or self.window is not None or self.adaptive
+
+    def use_processes(self) -> bool:
+        return self.n_shards > 1 if self.parallel is None else self.parallel
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """How every point of a run executes, as one frozen, picklable value.
+
+    Front ends (the experiment CLI, the benchmark suite, the campaign
+    server) build one and pass it explicitly down to
+    :func:`execute_point`, so a process-pool worker runs with exactly its
+    caller's settings whatever the multiprocessing start method.
+    Inactive options normalize to ``None``, so equal settings compare
+    equal.
+    """
+
+    #: worker processes :func:`run_many` fans cache misses out over
+    jobs: int = 1
+    #: persistent result cache directory; ``None`` disables it
+    cache_dir: Optional[str] = None
+    sharding: Optional[ShardingOptions] = None
+    observability: Optional[ObservabilityOptions] = None
+    checkpoint: Optional[CheckpointOptions] = None
+    #: ``SystemConfig`` field overrides reshaping every point (the CLI's
+    #: --topology/--bw-class), as sorted ``(field, value)`` pairs so the
+    #: context stays hashable; validated eagerly, so bad values fail
+    #: here rather than deep inside a worker
+    system_overrides: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        overrides = tuple(sorted(dict(self.system_overrides).items()))
+        if overrides:
+            SystemConfig.default().with_overrides(**dict(overrides))
+        object.__setattr__(self, "system_overrides", overrides)
+        object.__setattr__(self, "jobs", max(1, int(self.jobs)))
+        if self.sharding is not None and not self.sharding.active:
+            object.__setattr__(self, "sharding", None)
+        if self.observability is not None and not self.observability.active:
+            object.__setattr__(self, "observability", None)
+
+    @classmethod
+    def from_env(cls) -> "RunContext":
+        """The settings the environment asks for.
+
+        The one reader of ``REPRO_JOBS`` (default 1), ``REPRO_CACHE_DIR``
+        (unset: no disk cache) and ``REPRO_SHARDS`` / ``REPRO_WINDOW`` /
+        ``REPRO_ADAPTIVE_WINDOW`` (all unset: no sharding).
+        """
+        env = os.environ
+        shards, window = env.get("REPRO_SHARDS"), env.get("REPRO_WINDOW")
+        return cls(
+            jobs=int(env.get("REPRO_JOBS") or 1),
+            cache_dir=env.get("REPRO_CACHE_DIR") or None,
+            sharding=ShardingOptions(
+                n_shards=int(shards) if shards else 1,
+                window=int(window) if window else None,
+                adaptive=env.get("REPRO_ADAPTIVE_WINDOW", "").lower()
+                in ("1", "true", "yes"),
+            ),
+        )
+
+    def normalize(self, point: "ExperimentPoint") -> "ExperimentPoint":
+        """``point`` with its defaults filled in and this context's system
+        overrides applied (idempotent, so re-normalizing cannot
+        double-apply; explicit systems are reshaped too)."""
+        point = point.normalized()
+        if not self.system_overrides:
+            return point
+        return replace(
+            point, system=point.system.with_overrides(**dict(self.system_overrides))
+        )
+
+
+@dataclass(frozen=True)
+class ExperimentPoint:
+    """One independent simulation point: a (workload, configuration) tuple.
+
+    ``None`` config fields mean "the default"; :meth:`normalized` fills
+    them in so equal points always hash to the same cache key.
+    """
+
+    workload: str
+    system: Optional[SystemConfig] = None
+    netcrafter: Optional[NetCrafterConfig] = None
+    scale: Optional[Scale] = None
+    seed: int = 0
+
+    def normalized(self) -> "ExperimentPoint":
+        if (
+            self.system is not None
+            and self.netcrafter is not None
+            and self.scale is not None
+        ):
+            return self
+        return ExperimentPoint(
+            workload=self.workload,
+            system=self.system or SystemConfig.default(),
+            netcrafter=self.netcrafter or NetCrafterConfig.baseline(),
+            scale=self.scale or Scale.small(),
+            seed=self.seed,
+        )
+
+    def key(self) -> tuple:
+        """In-process memo key (the full normalized configuration)."""
+        p = self.normalized()
+        return (p.workload, p.system, p.netcrafter, p.scale, p.seed)
+
+    def label(self) -> str:
+        p = self.normalized()
+        return f"{p.workload}/seed{p.seed}"
+
+
+@dataclass(frozen=True)
 class ExperimentScale:
-    """How big the experiment runs are and which workloads they cover."""
+    """How big the experiment runs are, which workloads they cover, and
+    the :class:`RunContext` every point runs under."""
 
     scale: Scale = field(default_factory=Scale.small)
     workloads: Tuple[str, ...] = ()
     seed: int = 0
+    context: RunContext = field(default_factory=RunContext)
 
     def workload_names(self) -> List[str]:
         if self.workloads:
             return list(self.workloads)
         return all_workload_names()
+
+    def run(
+        self,
+        workload: str,
+        system: Optional[SystemConfig] = None,
+        netcrafter: Optional[NetCrafterConfig] = None,
+    ) -> RunResult:
+        """One point at this experiment's scale and seed."""
+        return run_one(
+            workload,
+            system=system,
+            netcrafter=netcrafter,
+            scale=self.scale,
+            seed=self.seed,
+            ctx=self.context,
+        )
+
+    def prefetch(
+        self,
+        variants: Sequence[Tuple[Optional[SystemConfig], Optional[NetCrafterConfig]]],
+        workloads: Optional[Sequence[str]] = None,
+    ) -> List[RunResult]:
+        """Batch every ``(system, netcrafter)`` variant across the workload
+        set through :func:`run_many` (``None`` = the default config).
+
+        The declare-points-up-front entry used by every driver: the full
+        point set fans out over the context's workers (and caches), after
+        which the driver's per-series :meth:`run` calls are memo hits.
+        """
+        names = workloads if workloads is not None else self.workload_names()
+        points = [
+            ExperimentPoint(
+                workload=name,
+                system=system,
+                netcrafter=netcrafter,
+                scale=self.scale,
+                seed=self.seed,
+            )
+            for name in names
+            for system, netcrafter in variants
+        ]
+        return run_many(points, ctx=self.context)
 
     @classmethod
     def quick(cls) -> "ExperimentScale":
@@ -79,51 +330,6 @@ class ExperimentScale:
         if mode == "full":
             return cls(scale=Scale.default())
         return cls.standard()
-
-
-@dataclass(frozen=True)
-class ExperimentPoint:
-    """One independent simulation point: a (workload, configuration) tuple.
-
-    ``None`` config fields mean "the default"; :meth:`normalized` fills
-    them in so equal points always hash to the same cache key.
-    """
-
-    workload: str
-    system: Optional[SystemConfig] = None
-    netcrafter: Optional[NetCrafterConfig] = None
-    scale: Optional[Scale] = None
-    seed: int = 0
-
-    def normalized(self) -> "ExperimentPoint":
-        system = self.system or SystemConfig.default()
-        if _system_overrides:
-            # global topology/bandwidth overrides (the CLI's --topology /
-            # --bw-class) reshape every point, explicit systems included;
-            # idempotent, so re-normalizing cannot double-apply
-            system = system.with_overrides(**_system_overrides)
-        if (
-            system is self.system
-            and self.netcrafter is not None
-            and self.scale is not None
-        ):
-            return self
-        return ExperimentPoint(
-            workload=self.workload,
-            system=system,
-            netcrafter=self.netcrafter or NetCrafterConfig.baseline(),
-            scale=self.scale or Scale.small(),
-            seed=self.seed,
-        )
-
-    def key(self) -> tuple:
-        """In-process memo key (the full normalized configuration)."""
-        p = self.normalized()
-        return (p.workload, p.system, p.netcrafter, p.scale, p.seed)
-
-    def label(self) -> str:
-        p = self.normalized()
-        return f"{p.workload}/seed{p.seed}"
 
 
 @dataclass
@@ -209,190 +415,38 @@ def reset_run_stats() -> None:
     run_stats.reset()
 
 
-@dataclass(frozen=True)
-class ObservabilityOptions:
-    """What per-run observability artifacts the harness should produce.
-
-    Any enabled artifact forces the point to actually simulate (cache
-    lookups and stores are bypassed): a cached result has no trace to
-    give, and an instrumented run should not overwrite the pristine
-    cached timing entry either.
-    """
-
-    trace: bool = False
-    #: keep every Nth packet lifecycle (1 = all)
-    trace_sample: int = 1
-    #: metrics snapshot period in cycles; None disables the time-series
-    metrics_interval: Optional[int] = None
-    profile: bool = False
-    out_dir: str = "results/obs"
-
-    @property
-    def active(self) -> bool:
-        return self.trace or self.metrics_interval is not None or self.profile
-
-    def spec(self) -> ShardObsSpec:
-        """The picklable instrument recipe these options ask for."""
-        return ShardObsSpec(
-            trace=self.trace,
-            trace_sample=self.trace_sample,
-            metrics_interval=self.metrics_interval,
-            profile=self.profile,
-        )
-
-
-@dataclass(frozen=True)
-class CheckpointOptions:
-    """Kernel-boundary checkpointing for every subsequent simulation point.
-
-    Each point's latest resumable state is published (atomically,
-    durably) to ``<directory>/<run-fingerprint>.ckpt`` — content-
-    addressed exactly like the result cache, so sweeps and single runs
-    share one checkpoint directory without collisions.  With
-    ``resume_from`` set, any point whose snapshot exists continues from
-    its last checkpointed kernel boundary instead of starting over; the
-    resumed result is byte-identical to an uninterrupted run
-    (:mod:`repro.ckpt`).  ``resume_from`` may be the checkpoint
-    directory (per-point snapshots are looked up by fingerprint) or one
-    specific snapshot file — the latter fails loudly with
-    :class:`~repro.ckpt.FingerprintMismatchError` if the point being
-    run does not match the snapshot's stamped configuration.
-    """
-
-    directory: str = "results/ckpt"
-    #: snapshot every N completed kernels (the final boundary always)
-    every: int = 1
-    resume_from: Optional[str] = None
-
-
-#: module-level so forked run_many workers inherit it
-_ckpt_options: Optional[CheckpointOptions] = None
-
-
-def set_checkpointing(options: Optional[CheckpointOptions]) -> None:
-    """Checkpoint/resume every subsequent point (``None`` disables)."""
-    global _ckpt_options
-    _ckpt_options = options
-
-
-def checkpoint_options() -> Optional[CheckpointOptions]:
-    """The active checkpoint options, or ``None`` when disabled."""
-    return _ckpt_options
-
-
-@dataclass(frozen=True)
-class ShardingOptions:
-    """How each simulation point is split across cluster shards.
-
-    Sharding is *intra-run* parallelism: one simulation is decomposed
-    into per-cluster shards advancing in conservative lookahead windows
-    (:class:`~repro.shard.coordinator.ShardedSystem`).  Results are
-    byte-identical to the single-engine run, so the result cache stays
-    shared between modes and the choice is purely about wall-clock.
-
-    Points the shard plan cannot serve (:meth:`ShardedSystem.supports
-    <repro.shard.coordinator.ShardedSystem.supports>`: a shard count not
-    dividing the clusters, or hardware coherence) fall back to the single
-    engine (identical results) rather than failing a whole figure sweep.
-    """
-
-    n_shards: int = 1
-    #: lookahead window in cycles; ``None`` means the maximum safe value
-    #: (the inter-cluster link latency), clamped per-point when smaller
-    window: Optional[int] = None
-    #: ``None`` = processes exactly when ``n_shards > 1``; ``False``
-    #: forces sequential-windowed mode (debugging, digest comparisons)
-    parallel: Optional[bool] = None
-    #: adaptive lookahead: stretch each shard's window from replicated
-    #: simulation state instead of the fixed size (byte-identical
-    #: results, so cache keys are unaffected); ``window`` is ignored
-    adaptive: bool = False
-
-    @property
-    def active(self) -> bool:
-        return self.n_shards > 1 or self.window is not None or self.adaptive
-
-    def use_processes(self) -> bool:
-        return self.n_shards > 1 if self.parallel is None else self.parallel
-
-    @classmethod
-    def from_env(cls) -> Optional["ShardingOptions"]:
-        """Honour ``REPRO_SHARDS`` / ``REPRO_WINDOW`` /
-        ``REPRO_ADAPTIVE_WINDOW`` (all unset -> None)."""
-        shards = os.environ.get("REPRO_SHARDS")
-        window = os.environ.get("REPRO_WINDOW")
-        adaptive = os.environ.get("REPRO_ADAPTIVE_WINDOW", "").lower() in (
-            "1",
-            "true",
-            "yes",
-        )
-        if not shards and not window and not adaptive:
-            return None
-        return cls(
-            n_shards=int(shards) if shards else 1,
-            window=int(window) if window else None,
-            adaptive=adaptive,
-        )
-
-
+#: in-process memo: (point key, observability options) -> result; the
+#: options are part of the key so an observed run (whose result carries
+#: artifact paths) never serves a plain one, or the other way round
 _cache: Dict[tuple, RunResult] = {}
-_default_jobs = 1
-_disk_cache: Optional[ResultCache] = None
-#: module-level so forked run_many workers inherit it
-_obs_options: Optional[ObservabilityOptions] = None
-#: module-level for the same reason; seeded from the environment
-_sharding_options: Optional[ShardingOptions] = ShardingOptions.from_env()
-#: SystemConfig field overrides applied to every point at normalization
-#: (the CLI's --topology/--bw-class); module-level so forked run_many
-#: workers inherit it, though points are normalized before pickling
-_system_overrides: Dict[str, object] = {}
 
 
-def set_system_overrides(**overrides: object) -> None:
-    """Apply ``SystemConfig`` field overrides to every subsequent point.
+def clear_cache() -> None:
+    """Drop the in-process memo (the disk cache is left untouched)."""
+    _cache.clear()
 
-    Used by the CLI's topology flags so a whole figure sweep can be
-    re-run on a different fabric (``inter_topology``, per-class
-    ``link_bw_overrides``, ...).  Overrides are validated eagerly
-    against the default config so bad values fail here, not deep inside
-    a worker.  Call with no arguments to clear.
+
+def _memo_key(point: ExperimentPoint, ctx: RunContext) -> tuple:
+    return point.key(), ctx.observability
+
+
+@functools.lru_cache(maxsize=None)
+def _open_cache(root: str) -> ResultCache:
+    """One :class:`ResultCache` per directory: its constructor sweeps
+    orphan ``*.tmp`` files, which only opening time can do safely."""
+    return ResultCache(root)
+
+
+def _disk_for(ctx: RunContext, use_cache: bool) -> Optional[ResultCache]:
+    """The persistent cache a run may read and write, or ``None``.
+
+    Observed runs bypass it: a cached result has no artifacts to give,
+    and an instrumented run must not overwrite the pristine entry.
+    Cross-process claims engage exactly when this cache does.
     """
-    global _system_overrides
-    if overrides:
-        SystemConfig.default().with_overrides(**overrides)  # validate
-    _system_overrides = dict(overrides)
-
-
-def system_overrides() -> Dict[str, object]:
-    """The active global system overrides (empty when disabled)."""
-    return dict(_system_overrides)
-
-
-def set_sharding(options: Optional[ShardingOptions]) -> None:
-    """Shard every subsequent simulation point (``None`` disables)."""
-    global _sharding_options
-    _sharding_options = (
-        options if options is not None and options.active else None
-    )
-
-
-def sharding_options() -> Optional[ShardingOptions]:
-    """The active sharding options, or ``None`` when disabled."""
-    return _sharding_options
-
-
-def set_observability(options: Optional[ObservabilityOptions]) -> None:
-    """Produce trace/metrics/profile artifacts for every subsequent run.
-
-    Pass ``None`` (or options with nothing enabled) to turn it back off.
-    """
-    global _obs_options
-    _obs_options = options if options is not None and options.active else None
-
-
-def observability_options() -> Optional[ObservabilityOptions]:
-    """The active observability options, or ``None`` when disabled."""
-    return _obs_options
+    if not use_cache or ctx.cache_dir is None or ctx.observability is not None:
+        return None
+    return _open_cache(ctx.cache_dir)
 
 
 def _write_artifacts(
@@ -422,43 +476,19 @@ def _write_artifacts(
         result.profile_path = str(profile)
 
 
-def clear_cache() -> None:
-    """Drop the in-process memo (the disk cache is left untouched)."""
-    _cache.clear()
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Worker-process count :func:`run_many` uses when none is passed."""
-    global _default_jobs
-    _default_jobs = max(1, int(jobs))
-
-
-def set_cache_dir(path: Optional[str]) -> None:
-    """Enable the persistent disk cache rooted at ``path`` (None disables)."""
-    global _disk_cache
-    _disk_cache = ResultCache(path) if path else None
-
-
-def disk_cache() -> Optional[ResultCache]:
-    """The active persistent cache, or ``None`` when disabled."""
-    return _disk_cache
-
-
-def _simulate(point: ExperimentPoint) -> RunResult:
-    point = point.normalized()
+def _simulate(point: ExperimentPoint, ctx: RunContext) -> RunResult:
+    point = ctx.normalize(point)
     trace = get_workload(point.workload).build(
         n_gpus=point.system.n_gpus, scale=point.scale, seed=point.seed
     )
-    options = _obs_options
+    options = ctx.observability
     spec = options.spec() if options is not None else None
-    sharding = _sharding_options
+    sharding = ctx.sharding
     n_shards, eff_window, parallel, adaptive = 1, None, False, False
     # points the shard plan cannot serve run on the single engine
     # (identical results) instead of failing a whole sweep
-    if (
-        sharding is not None
-        and sharding.active
-        and ShardedSystem.supports(point.system, sharding.n_shards)
+    if sharding is not None and ShardedSystem.supports(
+        point.system, sharding.n_shards
     ):
         lookahead = point.system.effective_inter_link_latency
         n_shards = sharding.n_shards
@@ -469,7 +499,8 @@ def _simulate(point: ExperimentPoint) -> RunResult:
         adaptive = sharding.adaptive
 
     checkpointer = None
-    if _ckpt_options is not None:
+    ckpt_options = ctx.checkpoint
+    if ckpt_options is not None:
         from repro import ckpt as _ckpt
 
         fp = _ckpt.run_fingerprint(
@@ -480,13 +511,13 @@ def _simulate(point: ExperimentPoint) -> RunResult:
             n_shards=n_shards,
             window=eff_window,
         )
-        snapshot_path = Path(_ckpt_options.directory) / f"{fp}.ckpt"
+        snapshot_path = Path(ckpt_options.directory) / f"{fp}.ckpt"
         checkpointer = _ckpt.Checkpointer(
-            path=snapshot_path, fingerprint=fp, every=_ckpt_options.every
+            path=snapshot_path, fingerprint=fp, every=ckpt_options.every
         )
         resume_path = None
-        if _ckpt_options.resume_from:
-            source = Path(_ckpt_options.resume_from)
+        if ckpt_options.resume_from:
+            source = Path(ckpt_options.resume_from)
             if source.is_dir():
                 # per-point lookup in a checkpoint directory: points
                 # without a snapshot simply start fresh
@@ -531,45 +562,61 @@ def _simulate(point: ExperimentPoint) -> RunResult:
     return result
 
 
-def execute_point(point: ExperimentPoint) -> Tuple[RunResult, float]:
-    """Simulate one point unconditionally, timing it.
+def execute_point(point: ExperimentPoint, ctx: RunContext) -> Tuple[RunResult, float]:
+    """Simulate one point under ``ctx`` unconditionally, timing it.
 
     The public execution entry for front ends layering their own
     serving policy over the runner (the campaign server's worker pool,
     ``run_many``'s process-pool workers): no cache lookups, no stores,
     no in-flight registration — callers own those.  Picklable, so it can
-    be shipped to a ``ProcessPoolExecutor`` directly.
+    be shipped to a ``ProcessPoolExecutor`` directly, context and all.
     """
     start = time.perf_counter()
-    result = _simulate(point)
+    result = _simulate(point, ctx)
     return result, time.perf_counter() - start
 
 
-def _record_executed(point: ExperimentPoint, result: RunResult, seconds: float) -> None:
+def _finish(
+    point: ExperimentPoint,
+    ctx: RunContext,
+    use_cache: bool,
+    result: RunResult,
+    seconds: float,
+) -> RunResult:
+    """Tally an executed point and store its result."""
     run_stats.executed += 1
     run_stats.exec_seconds += seconds
     run_stats.timings.append((point.label(), seconds))
+    if use_cache:
+        _cache[_memo_key(point, ctx)] = result
+        disk = _disk_for(ctx, use_cache)
+        if disk is not None:
+            disk.put(point, result)
+    return result
 
 
-def _disk_get(point: ExperimentPoint) -> Optional[RunResult]:
+def _disk_get(disk: ResultCache, point: ExperimentPoint) -> Optional[RunResult]:
     """Disk-cache read that folds quarantine tallies into run_stats."""
-    before = _disk_cache.corrupt
-    loaded = _disk_cache.get(point)
-    run_stats.corrupt_entries += _disk_cache.corrupt - before
+    before = disk.corrupt
+    loaded = disk.get(point)
+    run_stats.corrupt_entries += disk.corrupt - before
     return loaded
 
 
-def _lookup(point: ExperimentPoint, use_cache: bool) -> Optional[RunResult]:
+def _lookup(
+    point: ExperimentPoint, ctx: RunContext, use_cache: bool
+) -> Optional[RunResult]:
     """Memory then disk lookup; promotes disk hits into the memo."""
     if not use_cache:
         return None
-    key = point.key()
+    key = _memo_key(point, ctx)
     cached = _cache.get(key)
     if cached is not None:
         run_stats.memory_hits += 1
         return cached
-    if _disk_cache is not None:
-        loaded = _disk_get(point)
+    disk = _disk_for(ctx, use_cache)
+    if disk is not None:
+        loaded = _disk_get(disk, point)
         if loaded is not None:
             run_stats.disk_hits += 1
             _cache[key] = loaded
@@ -577,24 +624,13 @@ def _lookup(point: ExperimentPoint, use_cache: bool) -> Optional[RunResult]:
     return None
 
 
-def _store(point: ExperimentPoint, result: RunResult, use_cache: bool) -> None:
-    if not use_cache:
-        return
-    _cache[point.key()] = result
-    if _disk_cache is not None:
-        _disk_cache.put(point, result)
-
-
 #: how often a waiter re-checks a peer's in-flight execution
 _CLAIM_POLL_SECONDS = 0.05
 
 
-def _claims_active(use_cache: bool) -> bool:
-    """Cross-process claims engage exactly when the disk cache does."""
-    return use_cache and _disk_cache is not None
-
-
-def _resolve_in_flight(point: ExperimentPoint, use_cache: bool) -> RunResult:
+def _resolve_in_flight(
+    point: ExperimentPoint, ctx: RunContext, disk: ResultCache
+) -> RunResult:
     """Serve a point someone else claimed: wait, or take over.
 
     Polls the shared cache dir until the claim holder publishes the
@@ -607,26 +643,23 @@ def _resolve_in_flight(point: ExperimentPoint, use_cache: bool) -> RunResult:
     """
     key = fingerprint(point)
     while True:
-        loaded = _disk_get(point)
+        loaded = _disk_get(disk, point)
         if loaded is not None:
             run_stats.inflight_hits += 1
-            _cache[point.key()] = loaded
+            _cache[_memo_key(point, ctx)] = loaded
             return loaded
-        if _disk_cache.claim(key):
+        if disk.claim(key):
             try:
                 # the peer may have published between the poll and the
                 # claim win; prefer its result over a re-execution
-                loaded = _disk_get(point)
+                loaded = _disk_get(disk, point)
                 if loaded is not None:
                     run_stats.inflight_hits += 1
-                    _cache[point.key()] = loaded
+                    _cache[_memo_key(point, ctx)] = loaded
                     return loaded
-                result, seconds = execute_point(point)
-                _record_executed(point, result, seconds)
-                _store(point, result, use_cache)
+                return _finish(point, ctx, True, *execute_point(point, ctx))
             finally:
-                _disk_cache.release(key)
-            return result
+                disk.release(key)
         time.sleep(_CLAIM_POLL_SECONDS)
 
 
@@ -637,51 +670,54 @@ def run_one(
     scale: Optional[Scale] = None,
     seed: int = 0,
     use_cache: bool = True,
+    ctx: RunContext = RunContext(),
 ) -> RunResult:
-    """Simulate one (workload, configuration) point."""
-    point = ExperimentPoint(
-        workload=workload, system=system, netcrafter=netcrafter, scale=scale, seed=seed
-    ).normalized()
-    use_cache = use_cache and _obs_options is None
+    """Simulate one (workload, configuration) point under ``ctx``."""
+    point = ctx.normalize(
+        ExperimentPoint(
+            workload=workload,
+            system=system,
+            netcrafter=netcrafter,
+            scale=scale,
+            seed=seed,
+        )
+    )
     run_stats.points += 1
-    cached = _lookup(point, use_cache)
+    cached = _lookup(point, ctx, use_cache)
     if cached is not None:
         return cached
-    if _claims_active(use_cache):
-        key = fingerprint(point)
-        if not _disk_cache.claim(key):
-            return _resolve_in_flight(point, use_cache)
-        try:
-            result, seconds = execute_point(point)
-            _record_executed(point, result, seconds)
-            _store(point, result, use_cache)
-        finally:
-            _disk_cache.release(key)
-        return result
-    result, seconds = execute_point(point)
-    _record_executed(point, result, seconds)
-    _store(point, result, use_cache)
-    return result
+    disk = _disk_for(ctx, use_cache)
+    if disk is None:
+        return _finish(point, ctx, use_cache, *execute_point(point, ctx))
+    key = fingerprint(point)
+    if not disk.claim(key):
+        return _resolve_in_flight(point, ctx, disk)
+    try:
+        return _finish(point, ctx, use_cache, *execute_point(point, ctx))
+    finally:
+        disk.release(key)
 
 
 def run_many(
     points: Sequence[ExperimentPoint],
     jobs: Optional[int] = None,
     use_cache: bool = True,
+    ctx: RunContext = RunContext(),
 ) -> List[RunResult]:
     """Run a batch of independent points, fanning misses out over workers.
 
     Returns results in ``points`` order.  Duplicate points are simulated
     once; cached points (in-process memo first, then the persistent disk
-    cache when enabled) are never re-simulated.  With ``jobs > 1`` the
-    remaining misses run on a ``ProcessPoolExecutor``; results are
-    bit-identical to a serial pass because each point's simulation is a
-    deterministic function of its configuration.
+    cache when enabled) are never re-simulated.  With ``jobs`` (default
+    ``ctx.jobs``) above 1 the remaining misses run on a
+    ``ProcessPoolExecutor``, each worker handed ``ctx`` with its point;
+    results are bit-identical to a serial pass because each point's
+    simulation is a deterministic function of its configuration.
     """
     batch_start = time.perf_counter()
-    jobs = _default_jobs if jobs is None else max(1, int(jobs))
-    use_cache = use_cache and _obs_options is None
-    normalized = [p.normalized() for p in points]
+    jobs = ctx.jobs if jobs is None else max(1, int(jobs))
+    normalized = [ctx.normalize(p) for p in points]
+    disk = _disk_for(ctx, use_cache)
     run_stats.points += len(normalized)
     run_stats.batches += 1
     run_stats.max_jobs = max(run_stats.max_jobs, jobs)
@@ -693,7 +729,7 @@ def run_many(
         if key in results:
             run_stats.memory_hits += 1  # duplicate within this batch
             continue
-        cached = _lookup(point, use_cache)
+        cached = _lookup(point, ctx, use_cache)
         if cached is not None:
             results[key] = cached
             continue
@@ -704,8 +740,8 @@ def run_many(
         # cross-process dedupe: claim each miss in the shared cache dir;
         # points another process is already executing are *followed*
         # (poll for its published result) instead of re-executed
-        if _claims_active(use_cache):
-            owned = [p for p in pending if _disk_cache.claim(fingerprint(p))]
+        if disk is not None:
+            owned = [p for p in pending if disk.claim(fingerprint(p))]
             owned_keys = {p.key() for p in owned}
             following = [p for p in pending if p.key() not in owned_keys]
         else:
@@ -714,79 +750,34 @@ def run_many(
             if jobs > 1 and len(owned) > 1:
                 with ProcessPoolExecutor(max_workers=min(jobs, len(owned))) as pool:
                     futures = {
-                        pool.submit(execute_point, point): point for point in owned
+                        pool.submit(execute_point, point, ctx): point
+                        for point in owned
                     }
                     # publish (and release the claim) per point as it
                     # finishes so concurrent followers unblock early
                     for future in as_completed(futures):
                         point = futures[future]
-                        result, seconds = future.result()
-                        _record_executed(point, result, seconds)
-                        _store(point, result, use_cache)
-                        if _claims_active(use_cache):
-                            _disk_cache.release(fingerprint(point))
-                        results[point.key()] = result
+                        results[point.key()] = _finish(
+                            point, ctx, use_cache, *future.result()
+                        )
+                        if disk is not None:
+                            disk.release(fingerprint(point))
             else:
                 for point in owned:
-                    result, seconds = execute_point(point)
-                    _record_executed(point, result, seconds)
-                    _store(point, result, use_cache)
-                    if _claims_active(use_cache):
-                        _disk_cache.release(fingerprint(point))
-                    results[point.key()] = result
+                    results[point.key()] = _finish(
+                        point, ctx, use_cache, *execute_point(point, ctx)
+                    )
+                    if disk is not None:
+                        disk.release(fingerprint(point))
         finally:
-            if _claims_active(use_cache):
+            if disk is not None:
                 for point in owned:  # idempotent; frees peers after a crash
-                    _disk_cache.release(fingerprint(point))
+                    disk.release(fingerprint(point))
         for point in following:
-            results[point.key()] = _resolve_in_flight(point, use_cache)
+            results[point.key()] = _resolve_in_flight(point, ctx, disk)
 
     run_stats.wall_seconds += time.perf_counter() - batch_start
     return [results[point.key()] for point in normalized]
-
-
-def run_batch(
-    exp: ExperimentScale,
-    combos: Iterable[Tuple[str, Optional[SystemConfig], Optional[NetCrafterConfig]]],
-    jobs: Optional[int] = None,
-) -> List[RunResult]:
-    """Batch ``(workload, system, netcrafter)`` combos at ``exp``'s scale.
-
-    The declare-points-up-front entry used by every figure/ablation
-    driver: the full point set goes through :func:`run_many` (parallel
-    fan-out + caches), after which the driver's per-series ``run_one``
-    lookups are pure memo hits.
-    """
-    points = [
-        ExperimentPoint(
-            workload=workload,
-            system=system,
-            netcrafter=netcrafter,
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        for workload, system, netcrafter in combos
-    ]
-    return run_many(points, jobs=jobs)
-
-
-def prefetch_variants(
-    exp: ExperimentScale,
-    variants: Sequence[Tuple[Optional[SystemConfig], Optional[NetCrafterConfig]]],
-    workloads: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-) -> List[RunResult]:
-    """Batch every ``(system, netcrafter)`` variant across the workload set.
-
-    Convenience over :func:`run_batch` for the common driver shape "the
-    same config variants for every workload".
-    """
-    names = workloads if workloads is not None else exp.workload_names()
-    return run_batch(
-        exp,
-        [(name, system, netcrafter) for name in names for system, netcrafter in variants],
-        jobs=jobs,
-    )
 
 
 def run_pair(
@@ -795,8 +786,11 @@ def run_pair(
     system: Optional[SystemConfig] = None,
     scale: Optional[Scale] = None,
     seed: int = 0,
+    ctx: RunContext = RunContext(),
 ) -> Tuple[RunResult, RunResult]:
     """(baseline, variant) results for a workload under one system config."""
-    base = run_one(workload, system=system, scale=scale, seed=seed)
-    out = run_one(workload, system=system, netcrafter=variant, scale=scale, seed=seed)
+    base = run_one(workload, system=system, scale=scale, seed=seed, ctx=ctx)
+    out = run_one(
+        workload, system=system, netcrafter=variant, scale=scale, seed=seed, ctx=ctx
+    )
     return base, out

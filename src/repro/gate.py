@@ -38,7 +38,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -184,7 +186,7 @@ def unservable(cell: Cell, n_shards: int) -> Optional[str]:
 
 
 def cell_runs(
-    cell: Cell, n_shards: int, snapshot_dir: Path
+    cell: Cell, n_shards: int, snapshot_dir: Optional[Path]
 ) -> Iterator[Tuple[str, List[Dict[str, object]]]]:
     """(label, result payloads of the whole grid) for each run of the cell."""
     family, _, size = cell.grid.rpartition(":")
@@ -240,9 +242,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--snapshot-dir",
         type=Path,
-        default=Path("results/ckpt-smoke"),
+        default=None,
         metavar="DIR",
-        help="where kill_resume cells publish their snapshots",
+        help="where kill_resume cells publish their snapshots (default: a "
+        "temporary directory, removed when every cell passes)",
     )
     parser.add_argument(
         "--expect-file",
@@ -261,10 +264,16 @@ def main(argv=None) -> int:
             print(reason, file=sys.stderr)
             return 2
 
+    snapshot_dir = args.snapshot_dir
+    temporary = snapshot_dir is None and any(
+        cell.perturbation == "kill_resume" for cell in cells
+    )
+    if temporary:
+        snapshot_dir = Path(tempfile.mkdtemp(prefix="repro-gate-snapshots-"))
     exit_code = 0
     for cell in cells:
         try:
-            for label, payloads in cell_runs(cell, args.shards, args.snapshot_dir):
+            for label, payloads in cell_runs(cell, args.shards, snapshot_dir):
                 digest = results_digest(payloads)
                 print(f"{cell}{label}: {len(payloads)} points, digest {digest}")
                 code = expect_digest(args.expect_file, cell.key, digest)
@@ -275,6 +284,11 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     verdict = "every digest matches" if exit_code == 0 else f"FAILED (exit {exit_code})"
     print(f"gate: {len(cells)} cells, {verdict}")
+    if temporary:
+        if exit_code == 0:
+            shutil.rmtree(snapshot_dir, ignore_errors=True)
+        else:
+            print(f"gate: snapshots kept in {snapshot_dir}")
     return exit_code
 
 

@@ -18,12 +18,11 @@ import json, sys
 from repro.experiments import runner
 from repro.workloads.base import Scale
 
-runner.set_cache_dir(sys.argv[2])
 points = [
     runner.ExperimentPoint(workload=w, scale=Scale.tiny(), seed=0)
     for w in ("gups", "mt")
 ]
-results = runner.run_many(points)
+results = runner.run_many(points, ctx=runner.RunContext(cache_dir=sys.argv[2]))
 from repro.bench.smoke import results_digest
 print(json.dumps({
     "who": sys.argv[1],

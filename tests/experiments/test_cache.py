@@ -218,29 +218,28 @@ class TestQuarantine:
         must read as a miss, re-simulate, and be tallied in
         ExecutionStats.corrupt_entries — never crash the sweep."""
         from repro.experiments.runner import (
+            RunContext,
             clear_cache,
             reset_run_stats,
             run_one,
             run_stats,
-            set_cache_dir,
         )
 
-        set_cache_dir(str(tmp_path))
+        ctx = RunContext(cache_dir=str(tmp_path))
         clear_cache()
         reset_run_stats()
         try:
-            first = run_one("gups", scale=Scale.tiny())
+            first = run_one("gups", scale=Scale.tiny(), ctx=ctx)
             cache = ResultCache(tmp_path)
             path = cache.path_for(fingerprint(_point()))
             blob = path.read_text()
             path.write_text(blob[: len(blob) // 2])
             clear_cache()  # force the disk read
-            again = run_one("gups", scale=Scale.tiny())
+            again = run_one("gups", scale=Scale.tiny(), ctx=ctx)
             assert again.cycles == first.cycles
             assert run_stats.corrupt_entries == 1
             assert run_stats.executed == 2
         finally:
-            set_cache_dir(None)
             clear_cache()
             reset_run_stats()
 

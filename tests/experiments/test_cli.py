@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.__main__ import DRIVERS, main
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentScale
 from repro.workloads.base import Scale
 
@@ -11,15 +12,11 @@ from repro.workloads.base import Scale
 @pytest.fixture(autouse=True)
 def _isolated_runner_state(tmp_path, monkeypatch):
     # the CLI enables the disk cache by default; keep it out of the repo
-    # and undo the global runner knobs it sets
+    # and reset the memo and tallies it leaves behind
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     yield
-    runner.set_cache_dir(None)
-    runner.set_default_jobs(1)
     runner.reset_run_stats()
     runner.clear_cache()
-    runner.set_observability(None)
-    runner.set_system_overrides()
 
 
 @pytest.fixture
@@ -71,12 +68,11 @@ def test_jobs_flag_parallel_run_and_summary(capsys, tiny_quick, tmp_path):
     assert "fig3" in out
     assert "run summary" in out
     assert "disk cache hits" in out
-    assert len(runner.disk_cache()) > 0
+    assert len(ResultCache(tmp_path)) > 0
 
 
 def test_no_cache_flag_disables_disk_cache(capsys, tiny_quick, tmp_path):
     assert main(["fig6", "--scale", "quick", "--no-cache"]) == 0
-    assert runner.disk_cache() is None
     assert not (tmp_path / "cache").exists()
 
 
@@ -172,3 +168,16 @@ def test_bw_class_valid_for_topology(capsys):
                  "--bw-class", "down=64"]) == 0
     out = capsys.readouterr().out
     assert "topology overrides" in out
+
+
+def test_chaos_fault_flags_shape_the_sweep(capsys, tiny_quick):
+    assert main(["chaos", "--scale", "quick", "--fault-ber", "0,1e-4"]) == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith("ber=")]
+    assert [row.split()[0] for row in rows] == ["ber=0", "ber=0.0001"]
+
+
+def test_bad_fault_spec_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["chaos", "--fault-flaps", "1000:5000"])
+    assert "bad fault sweep spec" in capsys.readouterr().err

@@ -40,3 +40,15 @@ def test_collective_system_nodes():
     star = collective.collective_system("star")
     assert (star.n_clusters, star.gpus_per_cluster) == (4, 1)
     assert star.inter_topology == "star"
+
+
+def test_ext_collective_keeps_the_run_context(tmp_path):
+    from dataclasses import replace
+
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.runner import RunContext, clear_cache
+
+    clear_cache()  # memo hits would skip the disk writes counted below
+    exp = replace(EXP, workloads=("gups",), context=RunContext(cache_dir=str(tmp_path)))
+    result = collective.ext_collective(exp)
+    assert len(ResultCache(tmp_path)) == 2 * len(result.labels)

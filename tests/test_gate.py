@@ -1,6 +1,8 @@
 """The digest gate's cell list, key rule and exit codes."""
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,64 @@ class TestLoudFailures:
                 "--perturbation", "none", "--expect-file", str(path)]
         assert main(argv) == code
         assert f"FAILED (exit {code})" in capsys.readouterr().out
+
+
+class TestSnapshotDir:
+    """Without ``--snapshot-dir`` the gate's snapshots live in a temp dir
+    that a passing run removes and a failing run keeps."""
+
+    ARGV = ["--grid", "quick", "--topology", "mesh", "--mode", "single",
+            "--perturbation", "kill_resume"]
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Fake kill/resume cells: leave a snapshot, yield no children."""
+        dirs = []
+
+        def fake_cell_runs(cell, n_shards, snapshot_dir):
+            dirs.append(snapshot_dir)
+            if cell.perturbation == "kill_resume":
+                (snapshot_dir / "point.ckpt").write_bytes(b"snapshot")
+            yield "", [{"cycles": 1}]
+
+        monkeypatch.setattr(gate, "cell_runs", fake_cell_runs)
+        return dirs
+
+    def _digest_file(self, tmp_path, digest):
+        path = tmp_path / "digests.json"
+        path.write_text(json.dumps({"quick": digest}))
+        return str(path)
+
+    def test_passing_run_removes_its_temp_dir(self, tmp_path, seen, capsys):
+        digest = gate.results_digest([{"cycles": 1}])
+        argv = self.ARGV + ["--expect-file", self._digest_file(tmp_path, digest)]
+        assert main(argv) == 0
+        [snapshot_dir] = seen
+        assert snapshot_dir.parent == Path(tempfile.gettempdir())
+        assert not snapshot_dir.exists()
+
+    def test_failing_run_keeps_and_names_it(self, tmp_path, seen, capsys):
+        argv = self.ARGV + ["--expect-file", self._digest_file(tmp_path, DIGEST)]
+        assert main(argv) == 1
+        [snapshot_dir] = seen
+        assert (snapshot_dir / "point.ckpt").exists()
+        assert f"snapshots kept in {snapshot_dir}" in capsys.readouterr().out
+        shutil.rmtree(snapshot_dir)
+
+    def test_explicit_dir_is_kept(self, tmp_path, seen, capsys):
+        digest = gate.results_digest([{"cycles": 1}])
+        argv = self.ARGV + [
+            "--expect-file", self._digest_file(tmp_path, digest),
+            "--snapshot-dir", str(tmp_path / "snapshots"),
+        ]
+        (tmp_path / "snapshots").mkdir()
+        assert main(argv) == 0
+        assert seen == [tmp_path / "snapshots"]
+        assert (tmp_path / "snapshots" / "point.ckpt").exists()
+
+    def test_no_kill_resume_cell_makes_no_dir(self, tmp_path, seen, capsys):
+        argv = self.ARGV[:-1] + ["none", "--expect-file",
+                                 self._digest_file(tmp_path, DIGEST)]
+        assert main(argv) == 1
+        assert seen == [None]
+        assert "snapshots kept" not in capsys.readouterr().out
